@@ -309,7 +309,8 @@ impl std::fmt::Display for FaultPlan {
 
 /// Fault-tolerance configuration for one BSP run: the fault schedule plus
 /// the checkpoint/retry policy. The default configuration is *inactive*
-/// (no plan, no checkpoints) and adds zero overhead to the exchange path.
+/// (no plan, no checkpoints): the runtime allocates no checkpoint store and
+/// no delivery log for it.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// The fault schedule to inject.
@@ -342,7 +343,7 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Inactive configuration: no faults, no checkpoints, zero overhead.
+    /// Inactive configuration: no faults, no checkpoints.
     pub fn none() -> FaultConfig {
         FaultConfig {
             plan: FaultPlan::none(),
@@ -366,7 +367,7 @@ impl FaultConfig {
     }
 
     /// Whether this configuration changes runtime behaviour at all
-    /// (inactive configs take the legacy zero-overhead path).
+    /// (only active configs get a checkpoint store).
     pub fn active(&self) -> bool {
         self.checkpoint_interval > 0 || !self.plan.is_empty()
     }

@@ -19,14 +19,20 @@
 //!
 //! ## Execution modes (see `DESIGN.md` §5)
 //!
-//! - [`ExecutionMode::Threaded`]: every worker is a real OS thread; mailboxes
-//!   are shared-memory queues synchronized by per-superstep barriers —
-//!   validates the algorithms under true concurrency.
-//! - [`ExecutionMode::Simulated`]: workers run sequentially while the
-//!   runtime records each worker's busy time per superstep; the *simulated
-//!   parallel time* (makespan) is `Σ_steps max_worker(busy)` plus a
-//!   configurable per-byte communication cost. This measures exactly the
-//!   quantities parallel scalability (Theorem 7) is about, independent of
+//! Both modes drive one per-worker superstep state machine, a *lane*: it
+//! computes the step (or recovers the worker and replays what it missed),
+//! routes the output through the fault injector into the recipients'
+//! mailboxes, and after the barrier drains its own mailbox. The modes differ
+//! only in who calls the lanes and how time is accounted:
+//!
+//! - [`ExecutionMode::Threaded`]: every lane is a resident task on a
+//!   [`dcer_pool::WorkPool`], all running at once between real per-superstep
+//!   barriers — validates the algorithms under true concurrency.
+//! - [`ExecutionMode::Simulated`]: the caller runs the lanes one after
+//!   another while the runtime records each worker's busy time per superstep;
+//!   the *simulated parallel time* (makespan) is `Σ_steps max_worker(busy)`
+//!   plus a configurable per-byte communication cost. This measures exactly
+//!   the quantities parallel scalability (Theorem 7) is about, independent of
 //!   how many physical cores the host has.
 //!
 //! ## Fault tolerance (see `DESIGN.md` §11)
@@ -37,11 +43,13 @@
 //! that restores a failed worker from its last checkpoint and replays the
 //! exchanges it missed from a per-recipient delivery log. Replay is
 //! idempotent for `DeltaBatch`-style canonical messages, so the recovered
-//! fixpoint equals the fault-free one (Church–Rosser). Both executors make
-//! every fault decision from the same `(worker, step)` / `(from, to, step)`
-//! keys, so [`RecoveryStats`] are identical across modes for a given plan.
-//! An inactive config (the default used by [`run_bsp`]) takes the legacy
-//! zero-overhead path.
+//! fixpoint equals the fault-free one (Church–Rosser). Every fault decision
+//! is made from the same `(worker, step)` / `(from, to, step)` keys in the
+//! one lane code both modes run, so [`RecoveryStats`] are identical across
+//! modes for a given plan. An inactive config (the default used by
+//! [`run_bsp`]) is an empty plan with checkpointing off: no checkpoint store
+//! and no delivery log are allocated, and each fault check is a lookup in an
+//! empty plan.
 
 pub mod checkpoint;
 pub mod fault;
@@ -147,7 +155,7 @@ pub enum ExecutionMode {
     /// Sequential execution with per-worker time accounting (simulated
     /// cluster).
     Simulated,
-    /// One OS thread per worker.
+    /// Every worker runs concurrently as a resident pool task.
     Threaded,
 }
 
@@ -288,28 +296,27 @@ pub fn run_bsp<W: Worker>(
 }
 
 /// Run a BSP computation to global quiescence under a fault-tolerance
-/// configuration. With an inactive config this is exactly [`run_bsp`]
-/// (zero overhead); with checkpointing and/or a [`FaultPlan`] the runtime
+/// configuration: with checkpointing and/or a [`FaultPlan`] the runtime
 /// checkpoints at superstep boundaries, injects the planned faults and
 /// recovers failed workers. Returns [`BspAbort`] when a dropped delivery
-/// exhausts its retransmission budget.
+/// exhausts its retransmission budget. This is [`run_bsp_on`] over a
+/// transient single-lane pool, so threaded workers beyond the caller run on
+/// temporary threads.
 pub fn run_bsp_with<W: Worker>(
     workers: Vec<W>,
     mode: ExecutionMode,
     cost: &CostModel,
     faults: &FaultConfig,
 ) -> Result<(Vec<W>, BspStats), BspAbort> {
-    run_bsp_inner(workers, mode, cost, faults, None)
+    run_bsp_on(&dcer_pool::WorkPool::new(1), workers, mode, cost, faults)
 }
 
 /// Like [`run_bsp_with`], but the threaded executor runs its workers as
-/// *resident* tasks on the shared [`dcer_pool::WorkPool`] instead of
-/// spawning fresh scoped threads — one worker per pool lane (the caller
-/// included), with temporary overflow threads beyond the pool size. The
-/// simulated executor is inherently sequential and ignores the pool.
-/// Superstep semantics, stats and emitted flow edges are identical to the
-/// scoped-thread path; each worker redirects its spans onto a dedicated
-/// `worker-{k}` track so profiles look the same across dispatch modes.
+/// *resident* tasks on the shared [`dcer_pool::WorkPool`] — one worker per
+/// pool lane (the caller included), with temporary overflow threads beyond
+/// the pool size. The simulated executor runs every worker on the caller and
+/// ignores the pool. In both modes each worker's spans land on a dedicated
+/// `worker-{k}` track.
 pub fn run_bsp_on<W: Worker>(
     pool: &dcer_pool::WorkPool,
     workers: Vec<W>,
@@ -317,31 +324,24 @@ pub fn run_bsp_on<W: Worker>(
     cost: &CostModel,
     faults: &FaultConfig,
 ) -> Result<(Vec<W>, BspStats), BspAbort> {
-    run_bsp_inner(workers, mode, cost, faults, Some(pool))
-}
-
-fn run_bsp_inner<W: Worker>(
-    workers: Vec<W>,
-    mode: ExecutionMode,
-    cost: &CostModel,
-    faults: &FaultConfig,
-    pool: Option<&dcer_pool::WorkPool>,
-) -> Result<(Vec<W>, BspStats), BspAbort> {
     if workers.is_empty() {
-        // Without this, the simulated loop would still account one empty
-        // superstep while the threaded path spawns nothing — the one stats
-        // divergence between the executors.
+        // No lane, no superstep to account, in either mode.
         return Ok((workers, BspStats::new(0)));
     }
-    let ft = if faults.active() { Some(faults) } else { None };
-    let result = match mode {
-        ExecutionMode::Simulated => run_simulated(workers, cost, ft),
-        ExecutionMode::Threaded => run_threaded(workers, cost, ft, pool),
+    let wall = Instant::now();
+    let exchange = Exchange::new(workers.len(), faults);
+    let lanes = workers.into_iter().enumerate().map(|(me, w)| Lane::new(me, w)).collect();
+    let lanes = match mode {
+        ExecutionMode::Simulated => run_simulated(lanes, &exchange),
+        ExecutionMode::Threaded => run_threaded(pool, lanes, &exchange),
     };
-    if let Ok((_, stats)) = &result {
-        stats.publish();
+    let (workers, mut stats) = merge(lanes, cost);
+    stats.wall_secs = wall.elapsed().as_secs_f64();
+    if let Some(reason) = exchange.abort.into_inner().expect("abort slot poisoned") {
+        return Err(BspAbort { reason, stats: Box::new(stats) });
     }
-    result
+    stats.publish();
+    Ok((workers, stats))
 }
 
 /// The phase-span name for a superstep: superstep 0 runs the partial
@@ -370,11 +370,10 @@ fn spawn_flow_id(worker: WorkerId) -> u64 {
     (1u64 << 50) | worker as u64
 }
 
-/// A message held back by the injector: either a scheduled retransmission
+/// A message its sending lane holds back: either a scheduled retransmission
 /// of a dropped delivery (`retry`) or a delayed delivery already past the
 /// injector. Due at the exchange of superstep `due`.
 struct PendingSend<M> {
-    from: WorkerId,
     to: WorkerId,
     msg: M,
     attempts: u32,
@@ -436,787 +435,385 @@ fn exhausted_reason(from: WorkerId, to: WorkerId, attempts: u32, step: u64) -> S
     })
 }
 
-/// Per-run fault-tolerance state of the simulated executor.
-struct SimFt<'a, M: Message> {
+/// One worker's inbound slot: batches tagged with their sender so the
+/// drain can close each `bsp.send` flow edge.
+type Mailbox<M> = Mutex<Vec<(WorkerId, M)>>;
+
+/// What the lanes of one run share: the mailboxes, the fault layer and the
+/// quiescence counters. The counters are `Relaxed`: they are written while
+/// routing and read only by [`Exchange::halt`], which runs after a barrier
+/// (or, simulated, on the same thread) that orders it after every write.
+struct Exchange<'a, M: Message> {
+    mailboxes: Vec<Mailbox<M>>,
     cfg: &'a FaultConfig,
-    store: CheckpointStore<M>,
+    /// Latest checkpoint per worker; allocated only for an active config.
+    store: Option<CheckpointStore<M>>,
     /// Per-recipient delivery log: `(deposit superstep, message)`, appended
-    /// in step order, trimmed at each checkpoint. Only maintained when the
-    /// plan can actually fail a worker (`replayable`) — crashes come from
-    /// the plan alone, so an empty plan never replays.
-    logs: Vec<Vec<(u64, M)>>,
-    replayable: bool,
-    pending: Vec<PendingSend<M>>,
-    rec: RecoveryStats,
+    /// in step order and trimmed at each of the recipient's checkpoints.
+    /// Empty (no slot at all) unless the plan can fail a worker — failures
+    /// come from the plan alone, so an empty plan never replays.
+    logs: Vec<Mutex<Vec<(u64, M)>>>,
+    /// Deposits during the current superstep's exchange.
+    delivered: AtomicU64,
+    /// Retransmissions and delayed deliveries some lane still holds.
+    in_flight: AtomicU64,
+    /// The first exhausted retransmission budget, if any.
+    abort: Mutex<Option<String>>,
 }
 
-fn run_simulated<W: Worker>(
-    mut workers: Vec<W>,
-    cost: &CostModel,
-    faults: Option<&FaultConfig>,
-) -> Result<(Vec<W>, BspStats), BspAbort> {
-    let n = workers.len();
-    let wall = Instant::now();
-    let mut stats = BspStats::new(n);
-    let mut ft: Option<SimFt<W::Msg>> = faults.map(|cfg| {
-        let replayable = !cfg.plan.is_empty();
-        SimFt {
+impl<'a, M: Message> Exchange<'a, M> {
+    fn new(n: usize, cfg: &'a FaultConfig) -> Exchange<'a, M> {
+        Exchange {
+            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             cfg,
-            store: CheckpointStore::new(n, cfg.checkpoint_dir.clone()),
-            logs: if replayable { (0..n).map(|_| Vec::new()).collect() } else { Vec::new() },
-            replayable,
-            pending: Vec::new(),
-            rec: RecoveryStats::default(),
-        }
-    });
-    // Virtual trace tracks: the simulated cluster runs on one OS thread,
-    // but each worker still gets its own timeline in the exported trace.
-    let tracks: Vec<dcer_obs::TrackId> = if dcer_obs::enabled() {
-        (0..n).map(|i| dcer_obs::alloc_track(&format!("worker-{i}"))).collect()
-    } else {
-        vec![dcer_obs::TrackId::UNTRACKED; n]
-    };
-    if dcer_obs::enabled() {
-        // Same causal edges the threaded executor emits at thread spawn:
-        // they link the partition/build work on the calling thread to each
-        // worker's first superstep.
-        for (i, &track) in tracks.iter().enumerate() {
-            dcer_obs::flow_begin("bsp.spawn", spawn_flow_id(i));
-            dcer_obs::flow_end_on("bsp.spawn", spawn_flow_id(i), track);
+            store: cfg.active().then(|| CheckpointStore::new(n, cfg.checkpoint_dir.clone())),
+            logs: if cfg.plan.is_empty() {
+                Vec::new()
+            } else {
+                (0..n).map(|_| Mutex::new(Vec::new())).collect()
+            },
+            delivered: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
+            abort: Mutex::new(None),
         }
     }
-    let mut inboxes: Vec<Vec<W::Msg>> = (0..n).map(|_| Vec::new()).collect();
-    let mut first = true;
-    let mut step = 0u64;
-    loop {
-        let mut durations = vec![0.0f64; n];
-        let mut routed: Vec<(WorkerId, WorkerId, W::Msg)> = Vec::new();
-        for (i, w) in workers.iter_mut().enumerate() {
-            let inbox = std::mem::take(&mut inboxes[i]);
-            let span = dcer_obs::span_on(step_span_name(first), tracks[i]).with_arg("step", step);
-            let t0 = Instant::now();
-            let mut stall_secs = 0.0f64;
-            let out = if let Some(run) = ft.as_mut() {
-                let stall = run.cfg.plan.stall_millis(i, step);
-                let crashed = run.cfg.plan.crashed(i, step);
-                let failed =
-                    crashed || stall.is_some_and(|ms| ms as f64 / 1e3 > run.cfg.stall_timeout_secs);
-                if crashed {
-                    run.rec.crashes += 1;
-                    dcer_obs::instant("bsp.fault.crash");
-                }
-                if stall.is_some() {
-                    run.rec.stalls += 1;
-                    dcer_obs::instant("bsp.fault.stall");
-                }
-                if failed {
-                    // The worker's volatile state (and undrained inbox) is
-                    // lost; the log still holds everything since the last
-                    // checkpoint, including what was in the inbox.
-                    drop(inbox);
-                    let ckpt = run.store.latest(i);
-                    let mut out = w.restore(ckpt.as_ref().map(|(_, m)| m));
-                    let replay: Vec<W::Msg> = run.logs[i]
-                        .iter()
-                        .filter(|(s, _)| *s < step)
-                        .map(|(_, m)| m.clone())
-                        .collect();
-                    run.rec.replayed_batches += replay.len() as u64;
-                    run.rec.replayed_facts +=
-                        replay.iter().map(|m| m.unit_count() as u64).sum::<u64>();
-                    run.rec.recoveries += 1;
-                    dcer_obs::instant("bsp.recovery.restore");
-                    out.extend(w.superstep(replay));
-                    out
-                } else {
-                    let out = if first { w.initial() } else { w.superstep(inbox) };
-                    if let Some(ms) = stall {
-                        // Sub-timeout stall: virtual slowdown, no failure.
-                        stall_secs = ms as f64 / 1e3;
-                    }
-                    out
-                }
-            } else if first {
-                w.initial()
-            } else {
-                w.superstep(inbox)
-            };
-            // Checkpoint inside the timed window: its cost is part of the
-            // worker's step in the virtual makespan.
-            if let Some(run) = ft.as_mut() {
-                if run.cfg.checkpoint_interval > 0
-                    && step.is_multiple_of(run.cfg.checkpoint_interval)
-                {
-                    let c0 = dcer_obs::enabled().then(Instant::now);
-                    if let Some(snap) = w.snapshot() {
-                        run.rec.checkpoints += 1;
-                        run.rec.checkpoint_facts += snap.unit_count() as u64;
-                        run.rec.checkpoint_bytes += snap.size_bytes() as u64;
-                        run.store.put(i, step, snap);
-                        // Replay after a later failure starts from this
-                        // checkpoint: older log entries are covered by it.
-                        if run.replayable {
-                            run.logs[i].retain(|(s, _)| *s >= step);
-                        }
-                    }
-                    if let Some(c0) = c0 {
-                        dcer_obs::histogram_record(
-                            "bsp.checkpoint_ns",
-                            c0.elapsed().as_nanos() as u64,
-                        );
-                    }
-                }
-            }
-            durations[i] = t0.elapsed().as_secs_f64() + stall_secs;
-            drop(span);
-            routed.extend(out.into_iter().map(|(to, m)| (i, to, m)));
+
+    /// The coordinator's one duty, once per superstep after every lane has
+    /// routed: stop on an abort, or on quiescence — a superstep that
+    /// delivered nothing while nothing is in flight (a delayed batch or a
+    /// scheduled retransmission may still wake a worker, and would
+    /// otherwise silently vanish from the fixpoint).
+    fn halt(&self) -> bool {
+        let quiesced = self.delivered.swap(0, Ordering::Relaxed) == 0
+            && self.in_flight.load(Ordering::Relaxed) == 0;
+        quiesced || self.abort.lock().expect("abort slot poisoned").is_some()
+    }
+}
+
+/// One worker's side of the superstep protocol, identical under both
+/// schedulers: [`Lane::compute`] runs the step (or the recovery),
+/// [`Lane::route`] deposits its output, [`Lane::drain`] takes what peers
+/// deposited. What the lane measures stays in it until [`merge`].
+struct Lane<W: Worker> {
+    me: WorkerId,
+    worker: W,
+    /// The `worker-{me}` trace track.
+    track: dcer_obs::TrackId,
+    inbox: Vec<W::Msg>,
+    /// Sends the injector held back; this lane is their sender.
+    pending: Vec<PendingSend<W::Msg>>,
+    recovery: RecoveryStats,
+    /// Per superstep: busy seconds (compute, checkpoint, virtual stall).
+    busy_secs: Vec<f64>,
+    /// Per superstep: bytes drained from this lane's mailbox.
+    recv_bytes: Vec<u64>,
+    sent_batches: u64,
+    sent_units: u64,
+}
+
+impl<W: Worker> Lane<W> {
+    fn new(me: WorkerId, worker: W) -> Lane<W> {
+        Lane {
+            me,
+            worker,
+            track: dcer_obs::alloc_track(&format!("worker-{me}")),
+            inbox: Vec::new(),
+            pending: Vec::new(),
+            recovery: RecoveryStats::default(),
+            busy_secs: Vec::new(),
+            recv_bytes: Vec::new(),
+            sent_batches: 0,
+            sent_units: 0,
         }
-        first = false;
-        let exchange = dcer_obs::span("exchange").with_arg("step", step);
-        if dcer_obs::enabled() {
-            // Synthesized per-worker barrier waits: no thread actually
-            // blocks here, but under the simulated cost model every worker
-            // except the straggler would have waited (step max busy − own
-            // busy) at the barrier. Recording that gap as an explicit
-            // `bsp.barrier_wait` span makes the virtual straggler cost
-            // visible to the same critical-path analysis the threaded
-            // executor feeds with real blocking time.
-            let max_busy = durations.iter().cloned().fold(0.0f64, f64::max);
-            let base = dcer_obs::now_ns();
-            for (i, &busy) in durations.iter().enumerate() {
-                let wait_ns = ((max_busy - busy) * 1e9) as u64;
-                if wait_ns > 0 {
-                    dcer_obs::record_span(
-                        "bsp.barrier_wait",
-                        tracks[i],
-                        base,
-                        wait_ns,
-                        Some(("step", step)),
-                    );
-                }
-            }
+    }
+
+    /// Superstep `step` of this worker: the planned crash/stall check, then
+    /// either `initial`/`superstep` or restore + log replay, then the
+    /// checkpoint. Returns the routed output.
+    fn compute(&mut self, ex: &Exchange<'_, W::Msg>, step: u64) -> Vec<(WorkerId, W::Msg)> {
+        let _span = dcer_obs::span_on(step_span_name(step == 0), self.track).with_arg("step", step);
+        let t0 = Instant::now();
+        let (me, cfg) = (self.me, ex.cfg);
+        let inbox = std::mem::take(&mut self.inbox);
+        let crashed = cfg.plan.crashed(me, step);
+        let stall = cfg.plan.stall_millis(me, step);
+        if crashed {
+            self.recovery.crashes += 1;
+            dcer_obs::instant("bsp.fault.crash");
         }
-        let mut deliveries: Vec<(WorkerId, WorkerId, W::Msg)> = Vec::new();
-        if let Some(run) = ft.as_mut() {
-            let mut due = Vec::new();
-            let mut later = Vec::new();
-            for p in run.pending.drain(..) {
-                if p.due <= step {
-                    due.push(p);
-                } else {
-                    later.push(p);
-                }
-            }
-            run.pending = later;
-            for p in due {
-                if !p.retry {
-                    // A delayed delivery already passed the injector.
-                    deliveries.push((p.from, p.to, p.msg));
-                    continue;
-                }
-                run.rec.retries += 1;
-                match classify_send(run.cfg, p.from, p.to, step, p.attempts, &mut run.rec) {
-                    SendOutcome::Deliver => deliveries.push((p.from, p.to, p.msg)),
-                    SendOutcome::DeliverTwice => {
-                        deliveries.push((p.from, p.to, p.msg.clone()));
-                        deliveries.push((p.from, p.to, p.msg));
-                    }
-                    SendOutcome::Delayed(due) => run.pending.push(PendingSend {
-                        from: p.from,
-                        to: p.to,
-                        msg: p.msg,
-                        attempts: p.attempts,
-                        due,
-                        retry: false,
-                    }),
-                    SendOutcome::Retry(attempts, due) => run.pending.push(PendingSend {
-                        from: p.from,
-                        to: p.to,
-                        msg: p.msg,
-                        attempts,
-                        due,
-                        retry: true,
-                    }),
-                    SendOutcome::Exhausted => {
-                        stats.recovery = run.rec;
-                        stats.wall_secs = wall.elapsed().as_secs_f64();
-                        return Err(BspAbort {
-                            reason: exhausted_reason(p.from, p.to, p.attempts, step),
-                            stats: Box::new(stats),
-                        });
-                    }
-                }
-            }
-            for (from, to, msg) in routed {
-                if to == from {
-                    continue; // self-routes are free and filtered
-                }
-                assert!(to < n, "routed to nonexistent shard {to}");
-                match classify_send(run.cfg, from, to, step, 0, &mut run.rec) {
-                    SendOutcome::Deliver => deliveries.push((from, to, msg)),
-                    SendOutcome::DeliverTwice => {
-                        deliveries.push((from, to, msg.clone()));
-                        deliveries.push((from, to, msg));
-                    }
-                    SendOutcome::Delayed(due) => run.pending.push(PendingSend {
-                        from,
-                        to,
-                        msg,
-                        attempts: 0,
-                        due,
-                        retry: false,
-                    }),
-                    SendOutcome::Retry(attempts, due) => {
-                        run.pending.push(PendingSend { from, to, msg, attempts, due, retry: true })
-                    }
-                    SendOutcome::Exhausted => {
-                        stats.recovery = run.rec;
-                        stats.wall_secs = wall.elapsed().as_secs_f64();
-                        return Err(BspAbort {
-                            reason: exhausted_reason(from, to, 0, step),
-                            stats: Box::new(stats),
-                        });
-                    }
-                }
-            }
+        if stall.is_some() {
+            self.recovery.stalls += 1;
+            dcer_obs::instant("bsp.fault.stall");
+        }
+        let mut stall_secs = 0.0;
+        let out = if crashed || stall.is_some_and(|ms| ms as f64 / 1e3 > cfg.stall_timeout_secs) {
+            // The worker's volatile state and undrained inbox are lost; the
+            // delivery log holds everything since its last checkpoint, the
+            // inbox included. `< step` leaves out what peers may already be
+            // depositing for this step's exchange.
+            drop(inbox);
+            let ckpt = ex.store.as_ref().and_then(|store| store.latest(me));
+            let mut out = self.worker.restore(ckpt.as_ref().map(|(_, m)| m));
+            let replay: Vec<W::Msg> = ex.logs[me]
+                .lock()
+                .expect("delivery log poisoned")
+                .iter()
+                .filter(|(s, _)| *s < step)
+                .map(|(_, m)| m.clone())
+                .collect();
+            self.recovery.replayed_batches += replay.len() as u64;
+            self.recovery.replayed_facts +=
+                replay.iter().map(|m| m.unit_count() as u64).sum::<u64>();
+            self.recovery.recoveries += 1;
+            dcer_obs::instant("bsp.recovery.restore");
+            out.extend(self.worker.superstep(replay));
+            out
         } else {
-            for (from, to, msg) in routed {
-                if to == from {
-                    continue; // self-routes are free and filtered
-                }
-                assert!(to < n, "routed to nonexistent shard {to}");
-                deliveries.push((from, to, msg));
+            // A sub-timeout stall is a virtual slowdown, not a failure.
+            stall_secs = stall.map_or(0.0, |ms| ms as f64 / 1e3);
+            if step == 0 {
+                self.worker.initial()
+            } else {
+                self.worker.superstep(inbox)
+            }
+        };
+        self.checkpoint(ex, step);
+        self.busy_secs.push(t0.elapsed().as_secs_f64() + stall_secs);
+        out
+    }
+
+    /// Snapshot the worker on checkpoint steps, inside the timed window: its
+    /// cost is part of the worker's step.
+    fn checkpoint(&mut self, ex: &Exchange<'_, W::Msg>, step: u64) {
+        let every = ex.cfg.checkpoint_interval;
+        let Some(store) = &ex.store else { return };
+        if every == 0 || !step.is_multiple_of(every) {
+            return;
+        }
+        let c0 = dcer_obs::enabled().then(Instant::now);
+        if let Some(snap) = self.worker.snapshot() {
+            self.recovery.checkpoints += 1;
+            self.recovery.checkpoint_facts += snap.unit_count() as u64;
+            self.recovery.checkpoint_bytes += snap.size_bytes() as u64;
+            store.put(self.me, step, snap);
+            // Replay after a later failure starts from this checkpoint:
+            // older log entries are covered by it.
+            if let Some(log) = ex.logs.get(self.me) {
+                log.lock().expect("delivery log poisoned").retain(|(s, _)| *s >= step);
             }
         }
-        let mut step_bytes = 0u64;
-        let mut delivered_now = 0u64;
-        for (from, to, msg) in deliveries {
-            let b = msg.size_bytes() as u64;
-            step_bytes += b;
-            stats.bytes += b;
-            stats.shard_bytes[to] += b;
-            stats.batches += 1;
-            stats.messages += msg.unit_count() as u64;
-            dcer_obs::histogram_record("bsp.batch_bytes", b);
-            // One causal edge per delivered batch, sender timeline to
-            // recipient timeline, same id the threaded executor derives.
-            dcer_obs::flow_begin_on("bsp.send", bsp_flow_id(step, from, to), tracks[from]);
-            dcer_obs::flow_end_on("bsp.send", bsp_flow_id(step, from, to), tracks[to]);
-            if let Some(run) = ft.as_mut() {
-                if run.replayable {
-                    run.logs[to].push((step, msg.clone()));
+        if let Some(c0) = c0 {
+            dcer_obs::histogram_record("bsp.checkpoint_ns", c0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// The exchange of `step`, sender side: re-send what fell due from the
+    /// held-back sends, then classify and deposit the fresh output.
+    fn route(&mut self, ex: &Exchange<'_, W::Msg>, out: Vec<(WorkerId, W::Msg)>, step: u64) {
+        let held = self.pending.len() as u64;
+        let (due, later): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.pending).into_iter().partition(|p| p.due <= step);
+        self.pending = later;
+        for p in due {
+            if p.retry {
+                self.recovery.retries += 1;
+                self.send(ex, p.to, p.msg, p.attempts, step);
+            } else {
+                // A delayed delivery already passed the injector.
+                self.deposit(ex, p.to, p.msg, step);
+            }
+        }
+        for (to, msg) in out {
+            if to == self.me {
+                continue; // self-routes are free and filtered
+            }
+            assert!(to < ex.mailboxes.len(), "routed to nonexistent shard {to}");
+            self.send(ex, to, msg, 0, step);
+        }
+        ex.in_flight.fetch_add(self.pending.len() as u64, Ordering::Relaxed);
+        ex.in_flight.fetch_sub(held, Ordering::Relaxed);
+    }
+
+    /// One deposit attempt of `msg` (after `attempts` drops) through the
+    /// injector.
+    fn send(
+        &mut self,
+        ex: &Exchange<'_, W::Msg>,
+        to: WorkerId,
+        msg: W::Msg,
+        attempts: u32,
+        step: u64,
+    ) {
+        match classify_send(ex.cfg, self.me, to, step, attempts, &mut self.recovery) {
+            SendOutcome::Deliver => self.deposit(ex, to, msg, step),
+            SendOutcome::DeliverTwice => {
+                self.deposit(ex, to, msg.clone(), step);
+                self.deposit(ex, to, msg, step);
+            }
+            SendOutcome::Delayed(due) => {
+                self.pending.push(PendingSend { to, msg, attempts, due, retry: false })
+            }
+            SendOutcome::Retry(attempts, due) => {
+                self.pending.push(PendingSend { to, msg, attempts, due, retry: true })
+            }
+            SendOutcome::Exhausted => {
+                let reason = exhausted_reason(self.me, to, attempts, step);
+                ex.abort.lock().expect("abort slot poisoned").get_or_insert(reason);
+            }
+        }
+    }
+
+    /// Put `msg` into `to`'s mailbox with full accounting, logging it for
+    /// replay when the plan can fail a worker. Opens the `bsp.send` flow
+    /// edge that the recipient closes in [`Lane::drain`].
+    fn deposit(&mut self, ex: &Exchange<'_, W::Msg>, to: WorkerId, msg: W::Msg, step: u64) {
+        self.sent_batches += 1;
+        self.sent_units += msg.unit_count() as u64;
+        dcer_obs::histogram_record("bsp.batch_bytes", msg.size_bytes() as u64);
+        dcer_obs::flow_begin_on("bsp.send", bsp_flow_id(step, self.me, to), self.track);
+        ex.delivered.fetch_add(1, Ordering::Relaxed);
+        if let Some(log) = ex.logs.get(to) {
+            log.lock().expect("delivery log poisoned").push((step, msg.clone()));
+        }
+        ex.mailboxes[to].lock().expect("mailbox poisoned").push((self.me, msg));
+    }
+
+    /// The exchange of `step`, recipient side (after every deposit): the
+    /// mailbox becomes the next step's inbox.
+    fn drain(&mut self, ex: &Exchange<'_, W::Msg>, step: u64) {
+        let received =
+            std::mem::take(&mut *ex.mailboxes[self.me].lock().expect("mailbox poisoned"));
+        let mut bytes = 0u64;
+        self.inbox = received
+            .into_iter()
+            .map(|(from, msg)| {
+                dcer_obs::flow_end_on("bsp.send", bsp_flow_id(step, from, self.me), self.track);
+                bytes += msg.size_bytes() as u64;
+                msg
+            })
+            .collect();
+        self.recv_bytes.push(bytes);
+        dcer_obs::histogram_record("bsp.worker_recv_bytes", bytes);
+    }
+}
+
+/// The simulated scheduler: the caller runs the lanes one after another,
+/// each on its own virtual trace track.
+fn run_simulated<W: Worker>(mut lanes: Vec<Lane<W>>, ex: &Exchange<'_, W::Msg>) -> Vec<Lane<W>> {
+    for lane in &lanes {
+        // The causal edges the threaded scheduler emits at task spawn.
+        dcer_obs::flow_begin("bsp.spawn", spawn_flow_id(lane.me));
+        dcer_obs::flow_end_on("bsp.spawn", spawn_flow_id(lane.me), lane.track);
+    }
+    for step in 0u64.. {
+        let outs: Vec<_> = lanes.iter_mut().map(|lane| lane.compute(ex, step)).collect();
+        let _exchange = dcer_obs::span("exchange").with_arg("step", step);
+        if dcer_obs::enabled() {
+            // Synthesized barrier waits: no thread blocks here, but under
+            // the cost model every worker except the straggler would have
+            // waited (step max busy − own busy) at the barrier. Recording
+            // that gap as `bsp.barrier_wait` feeds the critical-path
+            // analysis the threaded scheduler feeds with real blocking time.
+            let busy = |lane: &Lane<W>| lane.busy_secs[step as usize];
+            let max_busy = lanes.iter().map(busy).fold(0.0, f64::max);
+            let base = dcer_obs::now_ns();
+            for lane in &lanes {
+                let wait_ns = ((max_busy - busy(lane)) * 1e9) as u64;
+                if wait_ns > 0 {
+                    let arg = Some(("step", step));
+                    dcer_obs::record_span("bsp.barrier_wait", lane.track, base, wait_ns, arg);
                 }
             }
-            inboxes[to].push(msg);
-            delivered_now += 1;
         }
-        dcer_obs::histogram_record("bsp.step_bytes", step_bytes);
-        drop(exchange);
-        stats.account_step(cost, &durations, step_bytes);
-        step += 1;
-        // Quiescence must also wait out in-flight messages (scheduled
-        // retransmissions and delayed deliveries), otherwise a delayed
-        // batch would silently vanish and the fixpoint would be wrong.
-        let in_flight = ft.as_ref().map_or(0, |run| run.pending.len());
-        if delivered_now == 0 && in_flight == 0 {
+        for (lane, out) in lanes.iter_mut().zip(outs) {
+            lane.route(ex, out, step);
+        }
+        for lane in &mut lanes {
+            lane.drain(ex, step);
+        }
+        if ex.halt() {
             break;
         }
     }
-    stats.deduped_facts = workers.iter().map(|w| w.absorbed_duplicates()).sum();
-    if let Some(run) = ft {
-        stats.recovery = run.rec;
-    }
-    stats.wall_secs = wall.elapsed().as_secs_f64();
-    Ok((workers, stats))
+    lanes
 }
 
-/// Per-thread measurements, merged into [`BspStats`] after the join.
-#[derive(Default)]
-struct ShardLog {
-    compute_secs: Vec<f64>,
-    recv_bytes_per_step: Vec<u64>,
-    recv_bytes: u64,
-    sent_batches: u64,
-    sent_units: u64,
-    absorbed: u64,
-    recovery: RecoveryStats,
-}
-
-/// Fault-tolerance state shared by all worker threads.
-struct ThreadedFt<'a, M: Message> {
-    cfg: &'a FaultConfig,
-    store: CheckpointStore<M>,
-    /// Per-recipient delivery log (same contract as the simulated one);
-    /// each recipient trims its own log at its checkpoints. Maintained
-    /// only when the plan can fail a worker (`replayable`).
-    logs: Vec<Mutex<Vec<(u64, M)>>>,
-    replayable: bool,
-    /// Global count of in-flight messages (retries + delayed) — the
-    /// quiescence leader must not halt while this is nonzero.
-    in_flight: AtomicU64,
-    aborted: AtomicBool,
-    abort_reason: Mutex<Option<String>>,
-}
-
-impl<M: Message> ThreadedFt<'_, M> {
-    fn flag_abort(&self, reason: String) {
-        let mut slot = self.abort_reason.lock().expect("abort slot poisoned");
-        if slot.is_none() {
-            *slot = Some(reason);
-        }
-        self.aborted.store(true, Ordering::Relaxed);
-    }
-}
-
-/// One worker's inbound slot in the threaded executor: batches tagged with
-/// their sender so the drain can close each `bsp.send` flow edge.
-type Mailbox<M> = Mutex<Vec<(WorkerId, M)>>;
-
-/// Deposit one message from `from` into `to`'s mailbox with full
-/// accounting; appends to the recipient's delivery log when fault tolerance
-/// is active. Opens the `bsp.send` causal flow edge — the recipient closes
-/// it when it drains the batch after the barrier.
-#[allow(clippy::too_many_arguments)]
-fn deposit<M: Message>(
-    from: WorkerId,
-    to: WorkerId,
-    msg: M,
-    step: u64,
-    log: &mut ShardLog,
-    mailboxes: &[Mailbox<M>],
-    ft: Option<&ThreadedFt<'_, M>>,
-    delivered: &AtomicU64,
-) {
-    log.sent_batches += 1;
-    log.sent_units += msg.unit_count() as u64;
-    dcer_obs::histogram_record("bsp.batch_bytes", msg.size_bytes() as u64);
-    dcer_obs::flow_begin("bsp.send", bsp_flow_id(step, from, to));
-    delivered.fetch_add(1, Ordering::Relaxed);
-    if let Some(ft) = ft {
-        if ft.replayable {
-            ft.logs[to].lock().expect("delivery log poisoned").push((step, msg.clone()));
-        }
-    }
-    mailboxes[to].lock().expect("mailbox poisoned").push((from, msg));
-}
-
+/// The threaded scheduler: one resident pool task per lane, all running at
+/// once between real barriers; the barrier leader makes the halt decision
+/// for the fleet.
 fn run_threaded<W: Worker>(
-    workers: Vec<W>,
-    cost: &CostModel,
-    faults: Option<&FaultConfig>,
-    pool: Option<&dcer_pool::WorkPool>,
-) -> Result<(Vec<W>, BspStats), BspAbort> {
-    let n = workers.len();
-    let wall = Instant::now();
-
-    // Sharded mailboxes: worker threads deposit directly into the
-    // recipient's slot — no coordinator touches payloads. Entries carry the
-    // sender so the drain can close each batch's `bsp.send` flow edge.
-    let mailboxes: Vec<Mailbox<W::Msg>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let barrier = Barrier::new(n);
-    let delivered = AtomicU64::new(0);
+    pool: &dcer_pool::WorkPool,
+    lanes: Vec<Lane<W>>,
+    ex: &Exchange<'_, W::Msg>,
+) -> Vec<Lane<W>> {
+    let barrier = Barrier::new(lanes.len());
     let halt = AtomicBool::new(false);
-    let ft_state: Option<ThreadedFt<W::Msg>> = faults.map(|cfg| {
-        let replayable = !cfg.plan.is_empty();
-        ThreadedFt {
-            cfg,
-            store: CheckpointStore::new(n, cfg.checkpoint_dir.clone()),
-            logs: if replayable {
-                (0..n).map(|_| Mutex::new(Vec::new())).collect()
-            } else {
-                Vec::new()
-            },
-            replayable,
-            in_flight: AtomicU64::new(0),
-            aborted: AtomicBool::new(false),
-            abort_reason: Mutex::new(None),
-        }
-    });
-
-    let worker_tasks: Vec<_> = workers
+    let (barrier, halt) = (&barrier, &halt);
+    let wait = move |step: u64| {
+        // Real blocking time on stragglers — the span the critical-path
+        // analyzer charges to barrier wait.
+        let _bw = dcer_obs::span("bsp.barrier_wait").with_arg("step", step);
+        barrier.wait().is_leader()
+    };
+    let tasks: Vec<_> = lanes
         .into_iter()
-        .enumerate()
-        .map(|(me, mut w)| {
-            let mailboxes = &mailboxes;
-            let barrier = &barrier;
-            let delivered = &delivered;
-            let halt = &halt;
-            let ft = ft_state.as_ref();
-            // Open the spawn flow edge on the calling thread's track: it
-            // links partitioning/fleet-building to each worker's first
-            // superstep in the span graph.
-            dcer_obs::flow_begin("bsp.spawn", spawn_flow_id(me));
+        .map(|mut lane| {
+            // Opened on the calling thread: links the partition/fleet build
+            // to the worker's first superstep.
+            dcer_obs::flow_begin("bsp.spawn", spawn_flow_id(lane.me));
             move || {
-                // On the pool the OS thread is a reused `pool-{i}` (or the
-                // caller itself); redirect this worker's events onto a
-                // dedicated `worker-{me}` track so the profile renders one
-                // row per logical worker in every dispatch mode. Close the
-                // spawn edge onto that track.
-                let _track =
-                    dcer_obs::redirect_thread_track(dcer_obs::alloc_track(&format!("worker-{me}")));
-                dcer_obs::flow_end("bsp.spawn", spawn_flow_id(me));
-                let mut log = ShardLog::default();
-                let mut inbox: Vec<W::Msg> = Vec::new();
-                // This thread's in-flight messages (it is the sender).
-                let mut pending: Vec<PendingSend<W::Msg>> = Vec::new();
-                let mut first = true;
-                let mut step = 0u64;
-                loop {
-                    let span = dcer_obs::span(step_span_name(first)).with_arg("step", step);
-                    let t0 = Instant::now();
-                    let mut stall_secs = 0.0f64;
-                    let out = if let Some(ft) = ft {
-                        let stall = ft.cfg.plan.stall_millis(me, step);
-                        let crashed = ft.cfg.plan.crashed(me, step);
-                        let failed = crashed
-                            || stall.is_some_and(|ms| ms as f64 / 1e3 > ft.cfg.stall_timeout_secs);
-                        if crashed {
-                            log.recovery.crashes += 1;
-                            dcer_obs::instant("bsp.fault.crash");
-                        }
-                        if stall.is_some() {
-                            log.recovery.stalls += 1;
-                            dcer_obs::instant("bsp.fault.stall");
-                        }
-                        if failed {
-                            inbox.clear(); // lost with the worker
-                            let ckpt = ft.store.latest(me);
-                            let mut out = w.restore(ckpt.as_ref().map(|(_, m)| m));
-                            // Peers may already be depositing for the
-                            // exchange of this very step; the `< step`
-                            // filter keeps those for normal consumption.
-                            let replay: Vec<W::Msg> = {
-                                let guard = ft.logs[me].lock().expect("delivery log poisoned");
-                                guard
-                                    .iter()
-                                    .filter(|(s, _)| *s < step)
-                                    .map(|(_, m)| m.clone())
-                                    .collect()
-                            };
-                            log.recovery.replayed_batches += replay.len() as u64;
-                            log.recovery.replayed_facts +=
-                                replay.iter().map(|m| m.unit_count() as u64).sum::<u64>();
-                            log.recovery.recoveries += 1;
-                            dcer_obs::instant("bsp.recovery.restore");
-                            out.extend(w.superstep(replay));
-                            out
-                        } else {
-                            let out = if first {
-                                w.initial()
-                            } else {
-                                w.superstep(std::mem::take(&mut inbox))
-                            };
-                            if let Some(ms) = stall {
-                                stall_secs = ms as f64 / 1e3;
-                            }
-                            out
-                        }
-                    } else if first {
-                        w.initial()
-                    } else {
-                        w.superstep(std::mem::take(&mut inbox))
-                    };
-                    first = false;
-                    if let Some(ft) = ft {
-                        if ft.cfg.checkpoint_interval > 0
-                            && step.is_multiple_of(ft.cfg.checkpoint_interval)
-                        {
-                            let c0 = dcer_obs::enabled().then(Instant::now);
-                            if let Some(snap) = w.snapshot() {
-                                log.recovery.checkpoints += 1;
-                                log.recovery.checkpoint_facts += snap.unit_count() as u64;
-                                log.recovery.checkpoint_bytes += snap.size_bytes() as u64;
-                                ft.store.put(me, step, snap);
-                                if ft.replayable {
-                                    ft.logs[me]
-                                        .lock()
-                                        .expect("delivery log poisoned")
-                                        .retain(|(s, _)| *s >= step);
-                                }
-                            }
-                            if let Some(c0) = c0 {
-                                dcer_obs::histogram_record(
-                                    "bsp.checkpoint_ns",
-                                    c0.elapsed().as_nanos() as u64,
-                                );
-                            }
-                        }
+                // The OS thread is a reused pool lane or the caller; the
+                // worker's events go to its own track either way.
+                let _track = dcer_obs::redirect_thread_track(lane.track);
+                dcer_obs::flow_end_on("bsp.spawn", spawn_flow_id(lane.me), lane.track);
+                for step in 0u64.. {
+                    let out = lane.compute(ex, step);
+                    // The exchange span covers deposit, barrier waits and
+                    // drain.
+                    let _exchange = dcer_obs::span("exchange").with_arg("step", step);
+                    lane.route(ex, out, step);
+                    if wait(step) {
+                        // Every deposit of the step has landed.
+                        halt.store(ex.halt(), Ordering::Relaxed);
                     }
-                    log.compute_secs.push(t0.elapsed().as_secs_f64() + stall_secs);
-                    drop(span);
-                    // The exchange span covers deposit, barrier wait (time
-                    // spent blocked on stragglers), and inbox drain.
-                    let exchange = dcer_obs::span("exchange").with_arg("step", step);
-                    if let Some(ft) = ft {
-                        let mut later = Vec::new();
-                        for p in pending.drain(..) {
-                            if p.due > step {
-                                later.push(p);
-                                continue;
-                            }
-                            ft.in_flight.fetch_sub(1, Ordering::Relaxed);
-                            if !p.retry {
-                                deposit(
-                                    p.from,
-                                    p.to,
-                                    p.msg,
-                                    step,
-                                    &mut log,
-                                    mailboxes,
-                                    Some(ft),
-                                    delivered,
-                                );
-                                continue;
-                            }
-                            log.recovery.retries += 1;
-                            match classify_send(
-                                ft.cfg,
-                                p.from,
-                                p.to,
-                                step,
-                                p.attempts,
-                                &mut log.recovery,
-                            ) {
-                                SendOutcome::Deliver => deposit(
-                                    p.from,
-                                    p.to,
-                                    p.msg,
-                                    step,
-                                    &mut log,
-                                    mailboxes,
-                                    Some(ft),
-                                    delivered,
-                                ),
-                                SendOutcome::DeliverTwice => {
-                                    deposit(
-                                        p.from,
-                                        p.to,
-                                        p.msg.clone(),
-                                        step,
-                                        &mut log,
-                                        mailboxes,
-                                        Some(ft),
-                                        delivered,
-                                    );
-                                    deposit(
-                                        p.from,
-                                        p.to,
-                                        p.msg,
-                                        step,
-                                        &mut log,
-                                        mailboxes,
-                                        Some(ft),
-                                        delivered,
-                                    );
-                                }
-                                SendOutcome::Delayed(due) => {
-                                    ft.in_flight.fetch_add(1, Ordering::Relaxed);
-                                    later.push(PendingSend {
-                                        from: p.from,
-                                        to: p.to,
-                                        msg: p.msg,
-                                        attempts: p.attempts,
-                                        due,
-                                        retry: false,
-                                    });
-                                }
-                                SendOutcome::Retry(attempts, due) => {
-                                    ft.in_flight.fetch_add(1, Ordering::Relaxed);
-                                    later.push(PendingSend {
-                                        from: p.from,
-                                        to: p.to,
-                                        msg: p.msg,
-                                        attempts,
-                                        due,
-                                        retry: true,
-                                    });
-                                }
-                                SendOutcome::Exhausted => {
-                                    ft.flag_abort(exhausted_reason(p.from, p.to, p.attempts, step));
-                                }
-                            }
-                        }
-                        pending = later;
-                        for (to, msg) in out {
-                            if to == me {
-                                continue; // self-routes are free and filtered
-                            }
-                            assert!(to < n, "routed to nonexistent shard {to}");
-                            match classify_send(ft.cfg, me, to, step, 0, &mut log.recovery) {
-                                SendOutcome::Deliver => deposit(
-                                    me,
-                                    to,
-                                    msg,
-                                    step,
-                                    &mut log,
-                                    mailboxes,
-                                    Some(ft),
-                                    delivered,
-                                ),
-                                SendOutcome::DeliverTwice => {
-                                    deposit(
-                                        me,
-                                        to,
-                                        msg.clone(),
-                                        step,
-                                        &mut log,
-                                        mailboxes,
-                                        Some(ft),
-                                        delivered,
-                                    );
-                                    deposit(
-                                        me,
-                                        to,
-                                        msg,
-                                        step,
-                                        &mut log,
-                                        mailboxes,
-                                        Some(ft),
-                                        delivered,
-                                    );
-                                }
-                                SendOutcome::Delayed(due) => {
-                                    ft.in_flight.fetch_add(1, Ordering::Relaxed);
-                                    pending.push(PendingSend {
-                                        from: me,
-                                        to,
-                                        msg,
-                                        attempts: 0,
-                                        due,
-                                        retry: false,
-                                    });
-                                }
-                                SendOutcome::Retry(attempts, due) => {
-                                    ft.in_flight.fetch_add(1, Ordering::Relaxed);
-                                    pending.push(PendingSend {
-                                        from: me,
-                                        to,
-                                        msg,
-                                        attempts,
-                                        due,
-                                        retry: true,
-                                    });
-                                }
-                                SendOutcome::Exhausted => {
-                                    ft.flag_abort(exhausted_reason(me, to, 0, step));
-                                }
-                            }
-                        }
-                    } else {
-                        for (to, msg) in out {
-                            if to == me {
-                                continue; // self-routes are free and filtered
-                            }
-                            assert!(to < n, "routed to nonexistent shard {to}");
-                            deposit(me, to, msg, step, &mut log, mailboxes, None, delivered);
-                        }
-                    }
-                    {
-                        // Real blocking time on stragglers — the span the
-                        // critical-path analyzer charges to barrier wait.
-                        let _bw = dcer_obs::span("bsp.barrier_wait").with_arg("step", step);
-                        barrier.wait(); // all deposits visible
-                    }
-
-                    let received: Vec<(WorkerId, W::Msg)> =
-                        std::mem::take(&mut *mailboxes[me].lock().expect("mailbox poisoned"));
-                    inbox = Vec::with_capacity(received.len());
-                    for (from, msg) in received {
-                        // Close the causal edge the sender opened at deposit.
-                        dcer_obs::flow_end("bsp.send", bsp_flow_id(step, from, me));
-                        inbox.push(msg);
-                    }
-                    let step_recv: u64 = inbox.iter().map(|m| m.size_bytes() as u64).sum();
-                    log.recv_bytes_per_step.push(step_recv);
-                    log.recv_bytes += step_recv;
-                    dcer_obs::histogram_record("bsp.worker_recv_bytes", step_recv);
-                    let is_leader = {
-                        let _bw = dcer_obs::span("bsp.barrier_wait").with_arg("step", step);
-                        barrier.wait().is_leader()
-                    };
-                    if is_leader {
-                        // Coordinator duty: quiescence detection, nothing
-                        // else. A superstep that delivered nothing does NOT
-                        // quiesce while retransmissions or delayed messages
-                        // are still in flight (a worker may be mid-recovery).
-                        let quiesced = delivered.swap(0, Ordering::Relaxed) == 0
-                            && ft.is_none_or(|f| f.in_flight.load(Ordering::Relaxed) == 0);
-                        let abort = ft.is_some_and(|f| f.aborted.load(Ordering::Relaxed));
-                        halt.store(abort || quiesced, Ordering::Relaxed);
-                    }
-                    {
-                        let _bw = dcer_obs::span("bsp.barrier_wait").with_arg("step", step);
-                        barrier.wait(); // halt decision visible
-                    }
-                    drop(exchange);
-                    step += 1;
+                    lane.drain(ex, step);
+                    wait(step); // every mailbox drained, halt decision visible
                     if halt.load(Ordering::Relaxed) {
                         break;
                     }
                 }
-                log.absorbed = w.absorbed_duplicates();
-                (w, log)
+                lane
             }
         })
         .collect();
+    pool.run_resident(tasks)
+}
 
-    let results: Vec<(W, ShardLog)> = match pool {
-        // Barrier-coupled workers must all run concurrently, so they go to
-        // the pool as a resident group: one worker per lane (the caller
-        // included), overflow on temporary threads.
-        Some(pool) => pool.run_resident(worker_tasks),
-        None => {
-            let mut slots: Vec<Option<(W, ShardLog)>> = (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (me, task) in worker_tasks.into_iter().enumerate() {
-                    let builder = std::thread::Builder::new().name(format!("worker-{me}"));
-                    handles.push(builder.spawn_scoped(scope, task).expect("spawn worker thread"));
-                }
-                for (i, h) in handles.into_iter().enumerate() {
-                    slots[i] = Some(h.join().expect("worker thread panicked"));
-                }
-            });
-            slots.into_iter().map(|r| r.expect("worker result")).collect()
-        }
-    };
-
-    let (mut final_workers, mut logs) = (Vec::with_capacity(n), Vec::with_capacity(n));
-    for (w, log) in results {
-        final_workers.push(w);
-        logs.push(log);
-    }
-
-    let supersteps = logs.iter().map(|l| l.compute_secs.len()).max().unwrap_or(0);
-    let mut stats = BspStats::new(n);
-    for step in 0..supersteps {
-        let durations: Vec<f64> =
-            logs.iter().map(|l| l.compute_secs.get(step).copied().unwrap_or(0.0)).collect();
-        let step_bytes: u64 =
-            logs.iter().map(|l| l.recv_bytes_per_step.get(step).copied().unwrap_or(0)).sum();
+/// Fold the lanes' logs into the run's [`BspStats`] — the one place a
+/// superstep is accounted, whichever scheduler ran it.
+fn merge<W: Worker>(lanes: Vec<Lane<W>>, cost: &CostModel) -> (Vec<W>, BspStats) {
+    let mut stats = BspStats::new(lanes.len());
+    for step in 0..lanes[0].busy_secs.len() {
+        let durations: Vec<f64> = lanes.iter().map(|lane| lane.busy_secs[step]).collect();
+        let step_bytes: u64 = lanes.iter().map(|lane| lane.recv_bytes[step]).sum();
+        dcer_obs::histogram_record("bsp.step_bytes", step_bytes);
         stats.account_step(cost, &durations, step_bytes);
     }
-    for (i, log) in logs.iter().enumerate() {
-        stats.batches += log.sent_batches;
-        stats.messages += log.sent_units;
-        stats.bytes += log.recv_bytes;
-        stats.shard_bytes[i] = log.recv_bytes;
-        stats.deduped_facts += log.absorbed;
-        stats.recovery.add(&log.recovery);
-    }
-    stats.wall_secs = wall.elapsed().as_secs_f64();
-    if let Some(ft) = &ft_state {
-        if ft.aborted.load(Ordering::Relaxed) {
-            let reason = ft
-                .abort_reason
-                .lock()
-                .expect("abort slot poisoned")
-                .take()
-                .unwrap_or_else(|| "aborted".into());
-            return Err(BspAbort { reason, stats: Box::new(stats) });
-        }
-    }
-    Ok((final_workers, stats))
+    let workers = lanes
+        .into_iter()
+        .enumerate()
+        .map(|(i, lane)| {
+            let received: u64 = lane.recv_bytes.iter().sum();
+            stats.batches += lane.sent_batches;
+            stats.messages += lane.sent_units;
+            stats.bytes += received;
+            stats.shard_bytes[i] = received;
+            stats.deduped_facts += lane.worker.absorbed_duplicates();
+            stats.recovery.add(&lane.recovery);
+            lane.worker
+        })
+        .collect();
+    (workers, stats)
 }
 
 #[cfg(test)]
@@ -1494,5 +1091,18 @@ mod tests {
             assert_eq!(err.stats.recovery.dropped_batches, 4, "{mode:?}");
             assert_eq!(err.stats.recovery.retries, 3, "{mode:?}");
         }
+    }
+
+    #[test]
+    fn fault_state_is_allocated_only_when_needed() {
+        let cfgs = [
+            FaultConfig::none(),
+            FaultConfig::checkpointing(),
+            FaultConfig::with_plan(FaultPlan::crash(0, 1)),
+        ];
+        let [off, ckpt, plan] = cfgs.each_ref().map(|cfg| Exchange::<u64>::new(4, cfg));
+        assert!(off.store.is_none() && off.logs.is_empty(), "fault-free: no store, no log");
+        assert!(ckpt.store.is_some() && ckpt.logs.is_empty(), "no plan, nothing to replay");
+        assert!(plan.store.is_some() && plan.logs.len() == 4, "a plan can fail any worker");
     }
 }

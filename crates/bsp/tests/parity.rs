@@ -128,7 +128,56 @@ fn executors_agree_on_every_deterministic_stat() {
         let expected_units: u64 =
             (0..n as u64).map(|s| (s + 1).min(n as u64) * n as u64).sum::<u64>();
         assert_eq!(sim.messages, expected_units, "n={n}: unit count closed form");
+
+        // Third input: threaded lanes as resident tasks on a shared 2-lane
+        // pool, so some lanes run on pool workers and the rest overflow.
+        let pool = dcer_pool::WorkPool::new(2);
+        let none = dcer_bsp::FaultConfig::none();
+        let (pool_workers, pooled) = dcer_bsp::run_bsp_on(
+            &pool,
+            ring(n),
+            ExecutionMode::Threaded,
+            &CostModel::default(),
+            &none,
+        )
+        .expect("a fault-free run never aborts");
+        for w in &pool_workers {
+            assert_eq!(w.known.len(), n, "n={n} pool: everyone learns everything");
+        }
+        assert_eq!(sim.supersteps, pooled.supersteps, "n={n} pool: supersteps");
+        assert_eq!(sim.batches, pooled.batches, "n={n} pool: batches");
+        assert_eq!(sim.messages, pooled.messages, "n={n} pool: messages");
+        assert_eq!(sim.bytes, pooled.bytes, "n={n} pool: bytes");
+        assert_eq!(sim.shard_bytes, pooled.shard_bytes, "n={n} pool: per-shard receive bytes");
+        assert_eq!(sim.deduped_facts, pooled.deduped_facts, "n={n} pool: absorbed duplicates");
+        assert_eq!(pooled.step_max_secs.len(), pooled.supersteps, "n={n} pool");
     }
+}
+
+/// Abort parity: when a dropped delivery exhausts its retransmission budget,
+/// both executors still finish and account the superstep the run aborts in,
+/// so the aborted attempt's stats agree across modes.
+#[test]
+fn executors_agree_on_abort_stats() {
+    use dcer_bsp::{run_bsp_with, FaultConfig, FaultPlan};
+    // Backoff for the batch first dropped at step 0 puts its retries at
+    // steps 1, 3 and 7; dropping all of them exhausts the budget of 3.
+    let plan = FaultPlan::parse("drop 1->0@0; drop 1->0@1; drop 1->0@3; drop 1->0@7").unwrap();
+    let cfg = FaultConfig::with_plan(plan);
+    let abort = |mode| {
+        let Err(abort) = run_bsp_with(ring(2), mode, &CostModel::default(), &cfg) else {
+            panic!("{mode:?}: retry budget must exhaust");
+        };
+        abort.stats
+    };
+    let (sim, thr) = (abort(ExecutionMode::Simulated), abort(ExecutionMode::Threaded));
+    assert_eq!(sim.supersteps, thr.supersteps, "supersteps");
+    assert_eq!(sim.batches, thr.batches, "batches");
+    assert_eq!(sim.messages, thr.messages, "messages");
+    assert_eq!(sim.bytes, thr.bytes, "bytes");
+    assert_eq!(sim.shard_bytes, thr.shard_bytes, "per-shard receive bytes");
+    assert_eq!(sim.recovery, thr.recovery, "recovery counters");
+    assert_eq!(sim.supersteps, 8, "the abort step (7) is accounted");
 }
 
 /// Fault-injection parity: under the same (non-aborting) `FaultPlan` —

@@ -241,13 +241,33 @@ proptest! {
                         }
                         last_epoch = snap.epoch();
                         check_snapshot(&snap, &expected)?;
-                        // The convenience paths must agree with the snapshot
-                        // they internally load.
+                        // A clustered tid resolves in the snapshot it came
+                        // from. The convenience path loads its own snapshot,
+                        // which a later admit may have replaced with an epoch
+                        // that deletes the tid, so it must resolve only when
+                        // no admit landed around the call.
                         if let Some(t) = snap.clusters().first().and_then(|c| c.first()) {
-                            if resolver.cluster_of(*t).is_none()
-                                && resolver.snapshot().cluster_of(*t).is_none()
-                            {
-                                return Err(format!("{t} lost its cluster"));
+                            if snap.cluster_of(*t).is_none() {
+                                return Err(format!(
+                                    "{t} lost its cluster in its own epoch {}",
+                                    snap.epoch()
+                                ));
+                            }
+                            let before = resolver.snapshot().epoch();
+                            let resolved = resolver.cluster_of(*t).is_some();
+                            let after = resolver.snapshot().epoch();
+                            if before < snap.epoch() || after < snap.epoch() {
+                                return Err(format!(
+                                    "epoch went backwards around a lookup: {before}, {after} \
+                                     after {}",
+                                    snap.epoch()
+                                ));
+                            }
+                            if before == snap.epoch() && after == snap.epoch() && !resolved {
+                                return Err(format!(
+                                    "{t} lost its cluster in epoch {}",
+                                    snap.epoch()
+                                ));
                             }
                         }
                         reads += 1;
