@@ -1,14 +1,15 @@
-//! Batched-predicate benchmark: the full sequential `Match` with columnar
-//! candidate batches versus the scalar per-candidate path, on an ML-heavy
-//! workload where classifier cost dominates the chase.
+//! Predicate-window benchmark: the full sequential `Match` with columnar
+//! candidate windows of 64 and 1024 rows versus width 1 (per-candidate
+//! evaluation), on an ML-heavy workload where classifier cost dominates
+//! the chase.
 //!
 //! The shape is an equi-join `R(t), S(s), t.k = s.k` guarded by an n-gram
 //! cosine predicate `sim(t.x, s.w)`: every R key matches a window of S
-//! rows, so each batched window shares one (long, expensive-to-profile)
-//! left text across hundreds of pairs. The batch kernel profiles each
-//! distinct text once per window (`per_side_cache`), where the scalar
-//! path rebuilds both profiles for every pair — that amortization is the
-//! headline `batch_speedup` claim (floor: 2x, guarded in CI).
+//! rows, so each window shares one (long, expensive-to-profile) left text
+//! across hundreds of pairs. The batch kernel profiles each distinct text
+//! once per window (`per_side_cache`), where width 1 rebuilds both
+//! profiles for every pair — that amortization is the headline
+//! `batch_speedup` claim (width 1 / width 1024; floor: 2x, guarded in CI).
 //!
 //! Each measured iteration runs `run_match` from scratch (fresh engine,
 //! fresh memo): a warm memo would absorb the classifier work and measure
@@ -59,11 +60,8 @@ fn workload(rows_r: usize, rows_s: usize) -> (Dataset, RuleSet, MlRegistry) {
     (d, rules, reg)
 }
 
-fn config(batch: Option<usize>) -> ChaseConfig {
-    match batch {
-        None => ChaseConfig { use_batching: false, ..Default::default() },
-        Some(w) => ChaseConfig { use_batching: true, batch_size: w, ..Default::default() },
-    }
+fn config(batch_size: usize) -> ChaseConfig {
+    ChaseConfig { batch_size, ..Default::default() }
 }
 
 fn main() {
@@ -74,18 +72,18 @@ fn main() {
 
     let (d, rules, reg) = workload(rows_r, rows_s);
 
-    // Sanity before measuring: every path computes the same closure and
+    // Sanity before measuring: every width computes the same closure and
     // the same oracle counters (the equivalence suites pin this harder).
-    let mut want = run_match(&d, &rules, &reg, &config(None)).unwrap();
+    let mut want = run_match(&d, &rules, &reg, &config(1)).unwrap();
     for batch in [64, 1024] {
-        let mut got = run_match(&d, &rules, &reg, &config(Some(batch))).unwrap();
+        let mut got = run_match(&d, &rules, &reg, &config(batch)).unwrap();
         assert_eq!(got.matches.clusters(), want.matches.clusters(), "batch {batch}: clusters");
         assert_eq!(got.stats, want.stats, "batch {batch}: stats");
     }
     let ml_calls = want.stats.ml_calls;
     assert!(ml_calls as usize >= rows_s, "workload must be classifier-bound");
 
-    for (name, batch) in [("scalar", None), ("batch64", Some(64)), ("batch1024", Some(1024))] {
+    for (name, batch) in [("width1", 1), ("batch64", 64), ("batch1024", 1024)] {
         let cfg = config(batch);
         c.bench_function(format!("ngram/{name}").as_str(), |b| {
             b.iter(|| black_box(run_match(&d, &rules, &reg, &cfg).unwrap().stats.ml_calls))
@@ -96,7 +94,7 @@ fn main() {
     write_report(&c, rows_r, rows_s, ml_calls, quick);
 }
 
-/// Record the acceptance number: `batch_speedup` = scalar / batch1024.
+/// Record the acceptance number: `batch_speedup` = width1 / batch1024.
 fn write_report(c: &Criterion, rows_r: usize, rows_s: usize, ml_calls: u64, quick: bool) {
     use serde_json::{Map, Value};
 
@@ -108,7 +106,7 @@ fn write_report(c: &Criterion, rows_r: usize, rows_s: usize, ml_calls: u64, quic
             .unwrap_or_else(|| panic!("missing bench result {id}"))
     };
 
-    let scalar = mean("ngram/scalar");
+    let width1 = mean("ngram/width1");
     let batch64 = mean("ngram/batch64");
     let batch1024 = mean("ngram/batch1024");
     let mut root = Map::new();
@@ -117,11 +115,11 @@ fn write_report(c: &Criterion, rows_r: usize, rows_s: usize, ml_calls: u64, quic
     root.insert("rows_s", Value::from(rows_s));
     root.insert("ml_calls", Value::from(ml_calls));
     root.insert("quick", Value::from(quick));
-    root.insert("scalar_ns", Value::from(scalar));
+    root.insert("width1_ns", Value::from(width1));
     root.insert("batch64_ns", Value::from(batch64));
     root.insert("batch1024_ns", Value::from(batch1024));
-    root.insert("batch64_speedup", Value::from(scalar / batch64));
-    root.insert("batch_speedup", Value::from(scalar / batch1024));
+    root.insert("batch64_speedup", Value::from(width1 / batch64));
+    root.insert("batch_speedup", Value::from(width1 / batch1024));
 
     let path = if quick {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");

@@ -47,7 +47,7 @@ fn bench_sequential_match(c: &mut Criterion) {
     });
     // The update-driven fallback path (no dependency cache).
     g.bench_function("run_match_no_dep_cache", |b| {
-        let cfg = ChaseConfig { dep_capacity: 0, use_dep_cache: false, ..Default::default() };
+        let cfg = ChaseConfig { dep_capacity: 0, ..Default::default() };
         b.iter(|| black_box(dcer_chase::run_match(&data, &rules, &registry, &cfg).unwrap()))
     });
     g.finish();

@@ -23,9 +23,7 @@
 
 use crate::batch::DeltaBatch;
 use crate::deps::{DepStore, Pending, Ready};
-use crate::eval::{
-    enumerate_with_program, enumerate_with_program_batched, EvalScratch, ValuationSink,
-};
+use crate::eval::{enumerate_with_program, EvalScratch, ValuationSink};
 use crate::facts::{ChaseState, Fact, MlOracle, MlSigTable};
 use crate::plan::{CompiledHead, CompiledRule, RecPred};
 use crate::program::RuleProgram;
@@ -40,36 +38,26 @@ use std::collections::{HashMap, HashSet, VecDeque};
 #[derive(Debug, Clone)]
 pub struct ChaseConfig {
     /// Capacity `K` of the dependency store `H`. Correctness never depends
-    /// on it; small values exercise the update-driven fallback.
+    /// on it; small values exercise the update-driven fallback, and `0`
+    /// keeps no dependencies at all: once any valuation has to wait, every
+    /// later `IncDeduce` round re-joins seeded on `ΔΓ`.
     pub dep_capacity: usize,
-    /// When `false`, skip `H` entirely and always use update-driven join
-    /// re-evaluation (used to cross-validate the two `IncDeduce` paths).
-    pub use_dep_cache: bool,
-    /// Share one ML memo scope across every rule (and every evaluation
-    /// path — scalar probes and batched windows hit the same cache), so
-    /// rules with the same predicate signature never re-score a pair (an
-    /// MQO-style evaluation sharing). `false` reproduces the per-rule
-    /// evaluation of `DMatch_noMQO`.
+    /// Share one ML memo scope across every rule, so rules with the same
+    /// predicate signature never re-score a pair (an MQO-style evaluation
+    /// sharing). `false` reproduces the per-rule evaluation of
+    /// `DMatch_noMQO`.
     pub share_ml_across_rules: bool,
-    /// Evaluate ML and id predicates over columnar candidate windows
-    /// ([`crate::eval::enumerate_with_program_batched`]) instead of
-    /// per-candidate probes. Bit-identical outcomes, counters included;
-    /// `false` forces the scalar path.
-    pub use_batching: bool,
-    /// Candidate window width for batched evaluation (clamped to ≥ 1;
-    /// ignored when `use_batching` is off).
+    /// Candidate window width of the enumerator
+    /// ([`crate::eval::enumerate_with_program`]), clamped to ≥ 1: ML and id
+    /// predicates are evaluated over windows of up to this many
+    /// candidates. Every width yields bit-identical outcomes, counters
+    /// included; 1 is per-candidate evaluation.
     pub batch_size: usize,
 }
 
 impl Default for ChaseConfig {
     fn default() -> ChaseConfig {
-        ChaseConfig {
-            dep_capacity: 1 << 20,
-            use_dep_cache: true,
-            share_ml_across_rules: true,
-            use_batching: true,
-            batch_size: 1024,
-        }
+        ChaseConfig { dep_capacity: 1 << 20, share_ml_across_rules: true, batch_size: 1024 }
     }
 }
 
@@ -211,18 +199,16 @@ pub struct ChaseEngine {
     id_pred_index: HashMap<RelId, Vec<(usize, usize)>>,
     /// sig -> [(plan, rec_pred index)] for body ML predicates.
     ml_pred_index: HashMap<u16, Vec<(usize, usize)>>,
-    use_dep_cache: bool,
     share_ml_across_rules: bool,
-    /// Candidate window width for batched evaluation; `None` = scalar path.
-    batch: Option<usize>,
+    /// Candidate window width of every enumeration.
+    batch_size: usize,
     /// Pool for chunking large classifier miss-batches (see
     /// [`MlOracle::predict_batch`]); absent = score inline.
     pool: Option<std::sync::Arc<dcer_pool::WorkPool>>,
     /// Observed `(checked, pruned)` per plan per recursive predicate,
     /// accumulated by the sink's prune paths — the selectivity input to
-    /// [`RuleProgram::reorder_rec_checks`]. Identical for scalar and
-    /// batched evaluation (same probe multisets), so both orderings evolve
-    /// in lockstep.
+    /// [`RuleProgram::reorder_rec_checks`]. Identical at every window
+    /// width (same probe multisets), so the width never changes the order.
     rec_stats: Vec<Vec<(u64, u64)>>,
     /// Per-tuple rule masks from HyPart: when set, rule `i` only binds
     /// tuples whose mask has bit `min(i, 127)`.
@@ -259,7 +245,6 @@ impl ChaseEngine {
                 }
             }
         }
-        let capacity = if config.use_dep_cache { config.dep_capacity } else { 0 };
         let rec_stats = plans.iter().map(|p| vec![(0, 0); p.rec_preds.len()]).collect();
         Ok(ChaseEngine {
             programs: vec![None; plans.len()],
@@ -269,16 +254,15 @@ impl ChaseEngine {
             dataset,
             indexes: IndexSet::new(),
             state: ChaseState::new(),
-            deps: DepStore::new(capacity),
+            deps: DepStore::new(config.dep_capacity),
             oracle,
             log: SupportLog::new(),
             dirty: Dirty::None,
             pending: VecDeque::new(),
             id_pred_index,
             ml_pred_index,
-            use_dep_cache: config.use_dep_cache,
             share_ml_across_rules: config.share_ml_across_rules,
-            batch: config.use_batching.then_some(config.batch_size.max(1)),
+            batch_size: config.batch_size,
             pool: None,
             rec_stats,
             rule_scope: None,
@@ -398,12 +382,6 @@ impl ChaseEngine {
         s.deps_fired = fired;
         s.deps_dropped = dropped;
         s
-    }
-
-    /// Whether update-driven re-evaluation is required (dep cache disabled
-    /// or overflowed).
-    fn needs_delta_joins(&self) -> bool {
-        !self.use_dep_cache || self.deps.overflowed()
     }
 
     /// `Match` (Fig. 3) as a batch: `Deduce` once, then `IncDeduce` to local
@@ -540,9 +518,9 @@ impl ChaseEngine {
                     progressed |= self.commit(dep, out);
                 }
             }
-            // (2) Update-driven join re-evaluation, if `H` cannot be trusted
-            // to be complete.
-            if self.needs_delta_joins() {
+            // (2) Update-driven join re-evaluation, if `H` overflowed and so
+            // cannot be trusted to be complete.
+            if self.deps.overflowed() {
                 while let Some(ev) = self.pending.pop_front() {
                     progressed = true;
                     self.delta_join(&ev, out);
@@ -585,7 +563,7 @@ impl ChaseEngine {
         // Split borrows: the sink needs the mutable state/oracle/deps while
         // the enumerator walks dataset/indexes.
         let share_ml = self.share_ml_across_rules;
-        let batch = self.batch;
+        let batch_size = self.batch_size;
         let ChaseEngine {
             plans,
             programs,
@@ -625,14 +603,9 @@ impl ChaseEngine {
             rec_stats: &mut rec_stats[plan_idx],
             facts_deduced: 0,
         };
-        let visited = match batch {
-            Some(width) => enumerate_with_program_batched(
-                program, plan, dataset, indexes, seeds, scratch, &mut sink, width,
-            ),
-            None => {
-                enumerate_with_program(program, plan, dataset, indexes, seeds, scratch, &mut sink)
-            }
-        };
+        let visited = enumerate_with_program(
+            program, plan, dataset, indexes, seeds, scratch, &mut sink, batch_size,
+        );
         let newly = sink.facts_deduced;
         stats.valuations += visited;
         stats.facts_deduced += newly;
@@ -1018,24 +991,33 @@ impl ValuationSink for EngineSink<'_> {
         prune
     }
 
-    fn prune_rec_batch(&mut self, pred: &RecPred, pairs: &[(&Tuple, &Tuple)], out: &mut Vec<bool>) {
+    fn prune_rec_batch(
+        &mut self,
+        pred: &RecPred,
+        left: &[Tuple],
+        right: &[Tuple],
+        pairs: &[(u32, u32)],
+        out: &mut Vec<bool>,
+    ) {
         let RecPred::Ml { sig, symmetric, waitable: false, .. } = *pred else {
             // Id and waitable ML predicates never prune at bind time — and
-            // are not probed here, mirroring the scalar early-out.
+            // are not probed here, mirroring `prune_rec`'s early-out.
             out.clear();
             out.resize(pairs.len(), false);
             self.count_rec(pred, pairs.len() as u64, 0);
             return;
         };
-        // Mirror the scalar short-circuit exactly: a pair whose prediction
-        // is already validated is not probed (for unwaitable signatures
-        // that never happens — only head signatures get validated — but
-        // probe-multiset fidelity is the contract, so keep the guard).
+        // Mirror `prune_rec`'s short-circuit exactly: a pair whose
+        // prediction is already validated is not probed (for unwaitable
+        // signatures that never happens — only head signatures get
+        // validated — but probe-multiset fidelity is the contract, so keep
+        // the guard).
         out.clear();
         out.resize(pairs.len(), false);
         let mut probe_idx: Vec<usize> = Vec::with_capacity(pairs.len());
         let mut probes: Vec<(&Tuple, &Tuple)> = Vec::with_capacity(pairs.len());
         for (i, &(l, r)) in pairs.iter().enumerate() {
+            let (l, r) = (&left[l as usize], &right[r as usize]);
             if !self.state.holds_ml(sig, l.tid, r.tid, symmetric) {
                 probe_idx.push(i);
                 probes.push((l, r));
@@ -1084,8 +1066,8 @@ impl ValuationSink for EngineSink<'_> {
         }
         // Snapshot answers; a visit that merges classes (visible as a
         // merge_count bump) invalidates them, so recompute the remaining
-        // suffix — each visit then sees answers identical to what scalar
-        // `holds_id` probes would return at that moment.
+        // suffix — each visit then sees answers identical to what a
+        // `holds_id` probe would return at that moment.
         let mut answers = Vec::new();
         self.state.matches.are_matched_batch(&pairs, &mut answers);
         let mut version = self.state.matches.merge_count();
@@ -1142,9 +1124,8 @@ mod tests {
     fn configs() -> Vec<ChaseConfig> {
         vec![
             ChaseConfig::default(),
-            ChaseConfig { dep_capacity: 0, use_dep_cache: true, ..Default::default() }, // overflow path
-            ChaseConfig { dep_capacity: 0, use_dep_cache: false, ..Default::default() }, // pure delta joins
-            ChaseConfig { dep_capacity: 2, use_dep_cache: true, ..Default::default() },  // mixed
+            ChaseConfig { dep_capacity: 0, ..Default::default() }, // no H: delta joins
+            ChaseConfig { dep_capacity: 2, ..Default::default() }, // mixed
         ]
     }
 
@@ -1438,7 +1419,7 @@ mod tests {
         )
         .unwrap();
         let reg = registry();
-        let tiny = ChaseConfig { dep_capacity: 0, use_dep_cache: true, ..Default::default() };
+        let tiny = ChaseConfig { dep_capacity: 0, ..Default::default() };
         let mut reference = run_match(&d, &rules, &reg, &ChaseConfig::default()).unwrap();
         let mut outcome = run_match(&d, &rules, &reg, &tiny).unwrap();
         assert!(outcome.stats.deps_dropped > 0, "K=0 must overflow");
@@ -1446,15 +1427,15 @@ mod tests {
         assert_eq!(outcome.matches.clusters(), reference.matches.clusters());
     }
 
-    /// Tentpole pin: batched evaluation is bit-identical to scalar — same
-    /// clusters, same validated set, and the same *full* [`ChaseStats`]
-    /// (ml_calls / ml_cache_hits included) at every window width. The
-    /// workload exercises every batched surface: an unwaitable ML predicate
-    /// over a cross product (windowed classifier prune), a waitable ML
-    /// predicate (deferred, never batch-pruned), an id predicate
-    /// (union-find window probe in `visit_batch`), and recursion.
+    /// Every window width is bit-identical to width 1 — same clusters, same
+    /// validated set, and the same *full* [`ChaseStats`] (ml_calls /
+    /// ml_cache_hits included). The workload exercises every windowed
+    /// surface: an unwaitable ML predicate over a cross product (windowed
+    /// classifier prune), a waitable ML predicate (deferred, never
+    /// window-pruned), an id predicate (union-find window probe in
+    /// `visit_batch`), and recursion.
     #[test]
-    fn batching_is_invariant_in_width_and_matches_scalar() {
+    fn batching_is_invariant_in_width() {
         let cat = catalog();
         let mut d = Dataset::new(cat.clone());
         for (k, x) in [
@@ -1477,11 +1458,11 @@ mod tests {
         )
         .unwrap();
         let reg = registry();
-        let scalar_cfg = ChaseConfig { use_batching: false, ..Default::default() };
-        let mut want = run_match(&d, &rules, &reg, &scalar_cfg).unwrap();
+        let width_one = ChaseConfig { batch_size: 1, ..Default::default() };
+        let mut want = run_match(&d, &rules, &reg, &width_one).unwrap();
         assert!(want.stats.ml_calls > 0, "workload must exercise the oracle");
-        for width in [1usize, 7, 64, 4096] {
-            let cfg = ChaseConfig { use_batching: true, batch_size: width, ..Default::default() };
+        for width in [7usize, 64, 4096] {
+            let cfg = ChaseConfig { batch_size: width, ..Default::default() };
             let mut got = run_match(&d, &rules, &reg, &cfg).unwrap();
             assert_eq!(got.matches.clusters(), want.matches.clusters(), "width {width}");
             assert_eq!(got.validated, want.validated, "width {width}");
@@ -1489,9 +1470,9 @@ mod tests {
         }
     }
 
-    /// Waitable deferral is identical with batching on and off: a pair the
-    /// classifier rejects must still match once a rule head validates its
-    /// prediction — batched windows only ever prune unwaitable predicates.
+    /// Waitable deferral is identical at every width: a pair the classifier
+    /// rejects must still match once a rule head validates its prediction —
+    /// windows only ever prune unwaitable predicates.
     /// (Referenced by `facts::tests::waitable_sigs_answer_identically_in_batch`.)
     #[test]
     fn batching_defers_waitable_identically() {
@@ -1507,12 +1488,12 @@ mod tests {
         )
         .unwrap();
         let reg = registry();
-        for (use_batching, batch_size) in [(false, 0), (true, 1), (true, 1024)] {
-            let cfg = ChaseConfig { use_batching, batch_size, ..Default::default() };
+        for batch_size in [1, 1024] {
+            let cfg = ChaseConfig { batch_size, ..Default::default() };
             let mut outcome = run_match(&d, &rules, &reg, &cfg).unwrap();
             // m("p", "q") is false at the oracle, yet `validate` validates
             // it (k1 = k1), so `use` must still fire.
-            assert!(outcome.matches.are_matched(a, b), "batching={use_batching}/{batch_size}");
+            assert!(outcome.matches.are_matched(a, b), "batch_size={batch_size}");
             assert!(!outcome.matches.are_matched(a, c));
         }
     }

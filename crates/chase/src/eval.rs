@@ -16,14 +16,21 @@
 //!    disconnected atoms, e.g. the all-pairs comparisons under a pure ML
 //!    predicate — inherent, as the paper notes).
 //!
-//! Candidates are iterated as borrows of the index's postings storage and
-//! bindings live in a caller-provided [`EvalScratch`], so a warmed
-//! enumeration performs **no heap allocation** (asserted by the
-//! `eval_noalloc` integration test).
+//! Each frame's candidates are gathered into a columnar window of up to
+//! `batch_size` rows; recursive predicates are checked predicate-major over
+//! the window and the final step's survivors are visited en masse. Width 1
+//! is per-candidate evaluation, and every width visits the same valuations
+//! in the same order.
 //!
-//! Recursive predicates never bind values, but the sink is notified the
-//! moment both of their variables are bound so it can prune branches whose
-//! ML predicate is false *and can never become validated*.
+//! Candidates are iterated as borrows of the index's postings storage;
+//! bindings, frames, windows and the recursive-check buffers live in a
+//! caller-provided [`EvalScratch`], so a warmed enumeration performs **no
+//! heap allocation** at any width (asserted by the `eval_noalloc`
+//! integration test).
+//!
+//! Recursive predicates never bind values, but the sink is asked about a
+//! candidate the moment both of their variables are bound so it can prune
+//! branches whose ML predicate is false *and can never become validated*.
 //!
 //! The same program powers full enumeration (`Deduce`) and the seeded,
 //! update-driven re-evaluation of `IncDeduce`: seeds pre-bind variables
@@ -54,15 +61,23 @@ pub trait ValuationSink {
     fn prune_rec(&mut self, pred: &RecPred, left: &Tuple, right: &Tuple) -> bool;
 
     /// Batched [`ValuationSink::prune_rec`]: one recursive predicate
-    /// against a whole candidate window. Overwrites `out` with one verdict
-    /// per pair (`true` = prune). The default is the scalar loop; the
-    /// engine overrides it to score the window through one memoized
-    /// classifier batch. Overrides must return the same verdicts the
-    /// scalar loop would.
-    fn prune_rec_batch(&mut self, pred: &RecPred, pairs: &[(&Tuple, &Tuple)], out: &mut Vec<bool>) {
+    /// against a whole candidate window. `pairs` holds row positions into
+    /// the predicate's `left` and `right` relation tuples. Overwrites `out`
+    /// with one verdict per pair (`true` = prune). The default is the
+    /// per-pair loop; the engine overrides it to score the window through
+    /// one memoized classifier batch. Overrides must return the same
+    /// verdicts the per-pair loop would.
+    fn prune_rec_batch(
+        &mut self,
+        pred: &RecPred,
+        left: &[Tuple],
+        right: &[Tuple],
+        pairs: &[(u32, u32)],
+        out: &mut Vec<bool>,
+    ) {
         out.clear();
         for &(l, r) in pairs {
-            out.push(self.prune_rec(pred, l, r));
+            out.push(self.prune_rec(pred, &left[l as usize], &right[r as usize]));
         }
     }
 
@@ -72,9 +87,9 @@ pub trait ValuationSink {
 
     /// Batched [`ValuationSink::visit`]: the final step's surviving
     /// candidates, visited in window order with `rows[var]` bound to each
-    /// in turn. The default is the scalar loop; the engine overrides it to
-    /// answer id predicates for the whole window in one union-find pass.
-    /// Overrides must visit every candidate, in order.
+    /// in turn. The default is the per-candidate loop; the engine overrides
+    /// it to answer id predicates for the whole window in one union-find
+    /// pass. Overrides must visit every candidate, in order.
     fn visit_batch(&mut self, rows: &mut [u32], var: TupleVar, candidates: &[u32]) {
         for &c in candidates {
             rows[var.0 as usize] = c;
@@ -106,32 +121,36 @@ struct Frame {
     scan: bool,
 }
 
-/// A per-depth columnar candidate window for batched enumeration: the
-/// candidate rows of one frame that survived the step's row-local checks
-/// and the batched recursive-predicate pass, drained in order.
+/// A per-depth columnar candidate window: the candidate rows of one frame
+/// that survived the step's row-local checks and the batched
+/// recursive-predicate pass, drained in order.
 #[derive(Debug, Default)]
 struct BatchWindow {
-    /// Surviving candidate rows (window order = scalar candidate order).
+    /// Surviving candidate rows, in candidate order.
     cands: Vec<u32>,
     /// Next survivor to drain into a descent.
     cursor: usize,
 }
 
-/// Reusable enumeration state: the binding array and the frame stack.
+/// Reusable enumeration state: the binding array, the frame stack, one
+/// candidate window per descent depth, and the recursive-check buffers.
 ///
 /// Create once, pass to every [`enumerate_with_program`] call; after the
 /// first call warms its capacity, subsequent enumerations of rules with no
-/// more variables allocate nothing. The batched enumerator additionally
-/// keeps one candidate window per descent depth (unused — and untouched —
-/// by the scalar path).
+/// more variables and no wider windows allocate nothing.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     /// `rows[var]` = bound row position, or [`UNBOUND`].
     rows: Vec<u32>,
     /// Explicit descent stack, one frame per bound (non-seed) variable.
     frames: Vec<Frame>,
-    /// Candidate windows, parallel to `frames` (batched enumeration only).
+    /// Candidate windows, parallel to `frames`.
     windows: Vec<BatchWindow>,
+    /// `(left row, right row)` of each window candidate under the
+    /// recursive predicate being checked.
+    pairs: Vec<(u32, u32)>,
+    /// One prune verdict per entry of `pairs`.
+    verdicts: Vec<bool>,
 }
 
 impl EvalScratch {
@@ -156,9 +175,9 @@ struct EvalStats {
     scans: u64,
     /// Candidate rows drawn from scans.
     scan_rows: u64,
-    /// Candidate windows filled (batched enumeration only).
+    /// Candidate windows filled.
     batch_windows: u64,
-    /// Candidates admitted into windows (batched enumeration only).
+    /// Candidates admitted into windows.
     batch_candidates: u64,
     /// Window candidates pruned by batched recursive checks.
     batch_pruned: u64,
@@ -175,17 +194,15 @@ impl EvalStats {
         dcer_obs::counter_add("eval.scans", self.scans);
         dcer_obs::counter_add("eval.scan_rows", self.scan_rows);
         dcer_obs::counter_add("eval.valuations", valuations);
-        if self.batch_windows > 0 {
-            dcer_obs::counter_add("eval.batch.windows", self.batch_windows);
-            dcer_obs::counter_add("eval.batch.candidates", self.batch_candidates);
-            dcer_obs::counter_add("eval.batch.pruned", self.batch_pruned);
-        }
+        dcer_obs::counter_add("eval.batch.windows", self.batch_windows);
+        dcer_obs::counter_add("eval.batch.candidates", self.batch_candidates);
+        dcer_obs::counter_add("eval.batch.pruned", self.batch_pruned);
     }
 }
 
 /// Enumerate all support valuations of `plan` in `dataset`, with variables
-/// in `seeds` pre-bound to the given rows. Returns the number of complete
-/// valuations visited.
+/// in `seeds` pre-bound to the given rows, one candidate at a time (width
+/// 1). Returns the number of complete valuations visited.
 ///
 /// Convenience wrapper: compiles a throwaway [`RuleProgram`] and scratch
 /// per call. Fixpoint loops should compile once and call
@@ -199,99 +216,33 @@ pub fn enumerate_valuations(
 ) -> u64 {
     let program = RuleProgram::compile(plan, dataset, indexes);
     let mut scratch = EvalScratch::new();
-    enumerate_with_program(&program, plan, dataset, indexes, seeds, &mut scratch, sink)
+    enumerate_with_program(&program, plan, dataset, indexes, seeds, &mut scratch, sink, 1)
 }
 
 /// Run a compiled `program` (from [`RuleProgram::compile`] against the
-/// same `dataset` / `indexes` generation) with `seeds` pre-bound. Returns
+/// same `dataset` / `indexes` generation) with `seeds` pre-bound, over
+/// candidate windows of up to `batch_size` rows (clamped to ≥ 1). Returns
 /// the number of complete valuations visited.
 ///
 /// Seeds bypass [`ValuationSink::admit_row`] — delta-driven re-evaluation
-/// must consider any locally hosted tuple — and are validated in a prelude
-/// (constant filters, fully seeded equality edges and recursive
-/// predicates) before enumeration starts.
-pub fn enumerate_with_program(
-    program: &RuleProgram,
-    plan: &CompiledRule,
-    dataset: &Dataset,
-    indexes: &IndexSet,
-    seeds: &[(TupleVar, u32)],
-    scratch: &mut EvalScratch,
-    sink: &mut dyn ValuationSink,
-) -> u64 {
-    let mut stats = EvalStats::default();
-    let first = match seed_prelude(program, plan, dataset, indexes, seeds, scratch, sink) {
-        Prelude::Rejected => return 0,
-        Prelude::Done => {
-            stats.publish(1);
-            return 1;
-        }
-        Prelude::Open(first) => first,
-    };
-    let mut count = 0u64;
-    let frame = make_frame(program, dataset, indexes, &scratch.rows, first, &mut stats);
-    scratch.frames.push(frame);
-
-    while let Some(top) = scratch.frames.len().checked_sub(1) {
-        let f = scratch.frames[top];
-        let step = &program.steps[f.step as usize];
-        if f.pos >= f.end {
-            // Exhausted: unbind and backtrack.
-            scratch.rows[step.var as usize] = UNBOUND;
-            scratch.frames.pop();
-            continue;
-        }
-        scratch.frames[top].pos = f.pos + 1;
-        let row = if f.scan { f.pos } else { indexes.at(f.slot).rows()[f.pos as usize] };
-        // Scans walk raw positions and must skip tombstones themselves;
-        // probed candidates self-filter (a tombstoned row's code column is
-        // NULL, so the probing edge's or constant's check rejects it).
-        if f.scan && !dataset.relation(step.rel).is_live(row) {
-            continue;
-        }
-        if !sink.admit_row(TupleVar(step.var), row) {
-            continue;
-        }
-        scratch.rows[step.var as usize] = row;
-        if !candidate_passes(plan, dataset, indexes, &scratch.rows, step, row, sink) {
-            // Stale binding is fine: overwritten by the next candidate,
-            // cleared on frame exhaustion.
-            continue;
-        }
-        match next_unbound_step(program, &scratch.rows, f.step as usize + 1) {
-            Some(next) => {
-                let frame = make_frame(program, dataset, indexes, &scratch.rows, next, &mut stats);
-                scratch.frames.push(frame);
-            }
-            None => {
-                count += 1;
-                sink.visit(&scratch.rows);
-            }
-        }
-    }
-    stats.publish(count);
-    count
-}
-
-/// Run a compiled `program` over columnar candidate windows of up to
-/// `batch_size` rows: semantically identical to [`enumerate_with_program`]
-/// (same visits, in the same order, with the same per-predicate probe
-/// multisets), but recursive predicates are evaluated predicate-major over
-/// each window through [`ValuationSink::prune_rec_batch`], and final-step
-/// survivors are delivered en masse through [`ValuationSink::visit_batch`].
+/// must consider any locally hosted tuple — and are validated (constant
+/// filters, fully seeded equality edges and recursive predicates) before
+/// enumeration starts.
 ///
-/// The equivalence argument: a window collects the candidates of one frame
-/// that pass the row-local checks (liveness, admission, constants, equality
-/// edges) — none of which read the candidate binding of any *other*
-/// candidate — then shrinks it predicate by predicate, so recursive
-/// predicate `j` sees exactly the candidates the scalar short-circuit would
-/// have reached it with. Batching predicate probes ahead of the descent is
-/// sound because only predicates with *final* falsity may prune
-/// ([`ValuationSink::prune_rec`]'s contract), making the verdicts pure in
-/// the pair. Survivors then drain in candidate order, so descent, visit
-/// order and frame statistics match the scalar enumeration exactly.
+/// Why the width never changes the result: a window collects the
+/// candidates of one frame that pass the row-local checks (liveness,
+/// admission, constants, equality edges) — none of which read the binding
+/// of any *other* candidate — then shrinks it predicate by predicate
+/// through [`ValuationSink::prune_rec_batch`], so recursive predicate `j`
+/// sees exactly the candidates still alive after predicates `0..j`.
+/// Checking a window ahead of the descent is sound because only predicates
+/// with *final* falsity may prune ([`ValuationSink::prune_rec`]'s
+/// contract), making the verdicts pure in the pair. Survivors then drain
+/// in candidate order and final-step survivors go to
+/// [`ValuationSink::visit_batch`], so visits, their order, the predicate
+/// probe multisets and the frame statistics are the same at every width.
 #[allow(clippy::too_many_arguments)]
-pub fn enumerate_with_program_batched(
+pub fn enumerate_with_program(
     program: &RuleProgram,
     plan: &CompiledRule,
     dataset: &Dataset,
@@ -303,25 +254,21 @@ pub fn enumerate_with_program_batched(
 ) -> u64 {
     let batch_size = batch_size.max(1);
     let mut stats = EvalStats::default();
-    let first = match seed_prelude(program, plan, dataset, indexes, seeds, scratch, sink) {
-        Prelude::Rejected => return 0,
-        Prelude::Done => {
-            stats.publish(1);
-            return 1;
-        }
-        Prelude::Open(first) => first,
+    if !bind_seeds(program, plan, dataset, indexes, seeds, scratch, sink) {
+        return 0;
+    }
+    let Some(first) = next_unbound_step(program, &scratch.rows, 0) else {
+        // Everything seeded: `bind_seeds` validated the lone valuation.
+        sink.visit(&scratch.rows);
+        stats.publish(1);
+        return 1;
     };
-    let EvalScratch { rows, frames, windows } = scratch;
+    let EvalScratch { rows, frames, windows, pairs, verdicts } = scratch;
     let frame = make_frame(program, dataset, indexes, rows, first, &mut stats);
     frames.push(frame);
     reset_window(windows, 0);
 
     let mut count = 0u64;
-    // Reusable per-window buffers; `pairs` borrows the dataset's tuple
-    // storage for the duration of this enumeration.
-    let mut pairs: Vec<(&Tuple, &Tuple)> = Vec::new();
-    let mut verdicts: Vec<bool> = Vec::new();
-
     while let Some(top) = frames.len().checked_sub(1) {
         let f = frames[top];
         let step = &program.steps[f.step as usize];
@@ -360,6 +307,10 @@ pub fn enumerate_with_program_batched(
                 let pos = fm.pos;
                 fm.pos += 1;
                 let row = if f.scan { pos } else { indexes.at(f.slot).rows()[pos as usize] };
+                // Scans walk raw positions and must skip tombstones
+                // themselves; probed candidates self-filter (a tombstoned
+                // row's code column is NULL, so the probing edge's or
+                // constant's check rejects it).
                 if f.scan && !dataset.relation(step.rel).is_live(row) {
                     continue;
                 }
@@ -376,9 +327,8 @@ pub fn enumerate_with_program_batched(
         stats.batch_candidates += cands.len() as u64;
 
         // Columnar recursive pass, predicate-major with a shrinking
-        // survivor set — the batched image of the scalar short-circuit:
-        // predicate `j` sees exactly the candidates still alive after
-        // predicates `0..j`.
+        // survivor set: predicate `j` sees exactly the candidates still
+        // alive after predicates `0..j`.
         for &pi in &step.rec_checks {
             if cands.is_empty() {
                 break;
@@ -388,20 +338,17 @@ pub fn enumerate_with_program_batched(
             let (lv, rv) = (l.0 as usize, r.0 as usize);
             let var = step.var as usize;
             // An endpoint that is not this step's variable must already be
-            // bound, or the check is skipped wholesale — candidate-
-            // independent, exactly where the scalar loop `continue`s.
+            // bound, or the check is skipped for the whole window.
             if (lv != var && rows[lv] == UNBOUND) || (rv != var && rows[rv] == UNBOUND) {
                 continue;
             }
-            let l_tuples = dataset.relation(plan.atoms[lv]).tuples();
-            let r_tuples = dataset.relation(plan.atoms[rv]).tuples();
             pairs.clear();
-            for &c in &cands {
-                let lr = if lv == var { c } else { rows[lv] };
-                let rr = if rv == var { c } else { rows[rv] };
-                pairs.push((&l_tuples[lr as usize], &r_tuples[rr as usize]));
-            }
-            sink.prune_rec_batch(p, &pairs, &mut verdicts);
+            pairs.extend(cands.iter().map(|&c| {
+                (if lv == var { c } else { rows[lv] }, if rv == var { c } else { rows[rv] })
+            }));
+            let left = dataset.relation(plan.atoms[lv]).tuples();
+            let right = dataset.relation(plan.atoms[rv]).tuples();
+            sink.prune_rec_batch(p, left, right, pairs, verdicts);
             let mut keep = 0;
             for i in 0..cands.len() {
                 if !verdicts[i] {
@@ -429,22 +376,10 @@ pub fn enumerate_with_program_batched(
     count
 }
 
-/// Outcome of the shared seed prelude.
-enum Prelude {
-    /// Dead program, invalid seed, or a seed-falsified precondition: zero
-    /// valuations.
-    Rejected,
-    /// Every variable was seeded; the lone valuation was validated and
-    /// visited.
-    Done,
-    /// Enumeration proper starts at this step index.
-    Open(usize),
-}
-
-/// Pre-bind and validate `seeds` (constant filters, fully seeded equality
-/// edges and recursive predicates), shared verbatim by the scalar and
-/// batched enumerators.
-fn seed_prelude(
+/// Reset `scratch`, pre-bind `seeds` and validate them (constant filters,
+/// fully seeded equality edges and recursive predicates). `false` for a
+/// dead program, an invalid seed, or a seed-falsified precondition.
+fn bind_seeds(
     program: &RuleProgram,
     plan: &CompiledRule,
     dataset: &Dataset,
@@ -452,9 +387,9 @@ fn seed_prelude(
     seeds: &[(TupleVar, u32)],
     scratch: &mut EvalScratch,
     sink: &mut dyn ValuationSink,
-) -> Prelude {
+) -> bool {
     if program.dead {
-        return Prelude::Rejected;
+        return false;
     }
     let n = program.num_vars;
     scratch.rows.clear();
@@ -465,7 +400,7 @@ fn seed_prelude(
     for &(v, row) in seeds {
         let relation = dataset.relation(plan.atoms[v.0 as usize]);
         if row as usize >= relation.len() || !relation.is_live(row) {
-            return Prelude::Rejected;
+            return false;
         }
         scratch.rows[v.0 as usize] = row;
     }
@@ -474,7 +409,7 @@ fn seed_prelude(
         let row = scratch.rows[v.0 as usize];
         for c in &step.consts {
             if indexes.at(c.slot).code_of_row(row) != c.code {
-                return Prelude::Rejected;
+                return false;
             }
         }
     }
@@ -484,7 +419,7 @@ fn seed_prelude(
         if lr != UNBOUND && rr != UNBOUND {
             let lc = indexes.at(p.left_slot).code_of_row(lr);
             if lc == ValueDict::NULL || lc != indexes.at(p.right_slot).code_of_row(rr) {
-                return Prelude::Rejected;
+                return false;
             }
         }
     }
@@ -495,18 +430,11 @@ fn seed_prelude(
             let lt = &dataset.relation(plan.atoms[l.0 as usize]).tuples()[lr as usize];
             let rt = &dataset.relation(plan.atoms[r.0 as usize]).tuples()[rr as usize];
             if sink.prune_rec(p, lt, rt) {
-                return Prelude::Rejected;
+                return false;
             }
         }
     }
-    match next_unbound_step(program, &scratch.rows, 0) {
-        None => {
-            // Everything seeded: the prelude validated the lone valuation.
-            sink.visit(&scratch.rows);
-            Prelude::Done
-        }
-        Some(first) => Prelude::Open(first),
-    }
+    true
 }
 
 /// Clear (lazily growing) the candidate window at `depth`.
@@ -572,43 +500,11 @@ fn make_frame(
     }
 }
 
-/// Run the step's checks against a freshly bound candidate, in the same
-/// order as the recursive enumerator did: constant filters, then equality
-/// edges, then recursive predicates.
-fn candidate_passes(
-    plan: &CompiledRule,
-    dataset: &Dataset,
-    indexes: &IndexSet,
-    rows: &[u32],
-    step: &crate::program::Step,
-    row: u32,
-    sink: &mut dyn ValuationSink,
-) -> bool {
-    if !nonrec_checks_pass(indexes, rows, step, row) {
-        return false;
-    }
-    for &pi in &step.rec_checks {
-        let p = &plan.rec_preds[pi as usize];
-        let (l, r) = p.vars();
-        let (lr, rr) = (rows[l.0 as usize], rows[r.0 as usize]);
-        if lr == UNBOUND || rr == UNBOUND {
-            continue;
-        }
-        let lt = &dataset.relation(plan.atoms[l.0 as usize]).tuples()[lr as usize];
-        let rt = &dataset.relation(plan.atoms[r.0 as usize]).tuples()[rr as usize];
-        if sink.prune_rec(p, lt, rt) {
-            return false;
-        }
-    }
-    true
-}
-
 /// The candidate checks that read only the candidate row and *other*
 /// variables' bindings: constant filters, then equality edges. A self-edge
 /// (`other_var == step.var`) compares the candidate against itself, so the
-/// batched fill — which runs before the candidate is bound — resolves it
-/// to `row` explicitly (the scalar path binds first, making the two
-/// resolutions identical).
+/// window fill — which runs before the candidate is bound — resolves it to
+/// `row` explicitly.
 fn nonrec_checks_pass(
     indexes: &IndexSet,
     rows: &[u32],
@@ -811,11 +707,11 @@ mod tests {
         assert_eq!(n, 5);
     }
 
-    /// The batched enumerator is a drop-in for the scalar one: same
-    /// valuations, in the same order, at every batch size — including 1
-    /// (pure overhead) and sizes far beyond any window.
+    /// The window width never changes the result: every width visits the
+    /// same valuations in the same order as width 1 (per-candidate
+    /// evaluation), up to widths far beyond any window.
     #[test]
-    fn batched_enumeration_matches_scalar_across_sizes() {
+    fn every_width_visits_in_width_one_order() {
         let rules = [
             "match j: R(t), S(s), t.k = s.k -> dummy(t.k, s.k)",
             "match j: R(t), R(s), t.k = s.k -> t.id = s.id",
@@ -830,35 +726,29 @@ mod tests {
             let (plan, d) = compile(src);
             let mut idx = IndexSet::new();
             let program = RuleProgram::compile(&plan, &d, &mut idx);
+            let mut scratch = EvalScratch::new();
+            let mut run = |seeds, prune_ml, width| {
+                let mut sink = Collect { all: vec![], prune_ml };
+                let n = enumerate_with_program(
+                    &program,
+                    &plan,
+                    &d,
+                    &idx,
+                    seeds,
+                    &mut scratch,
+                    &mut sink,
+                    width,
+                );
+                (n, sink.all)
+            };
             for prune_ml in [false, true] {
                 for seeds in seed_sets {
-                    let mut scalar = Collect { all: vec![], prune_ml };
-                    let mut scratch = EvalScratch::new();
-                    let want = enumerate_with_program(
-                        &program,
-                        &plan,
-                        &d,
-                        &idx,
-                        seeds,
-                        &mut scratch,
-                        &mut scalar,
-                    );
-                    for batch in [1usize, 2, 7, 4096] {
-                        let mut batched = Collect { all: vec![], prune_ml };
-                        let got = enumerate_with_program_batched(
-                            &program,
-                            &plan,
-                            &d,
-                            &idx,
-                            seeds,
-                            &mut scratch,
-                            &mut batched,
-                            batch,
-                        );
-                        assert_eq!(got, want, "{src} batch={batch} seeds={seeds:?}");
+                    let want = run(seeds, prune_ml, 1);
+                    for width in [2usize, 7, 64, 4096] {
                         assert_eq!(
-                            batched.all, scalar.all,
-                            "visit order diverged: {src} batch={batch} seeds={seeds:?}"
+                            run(seeds, prune_ml, width),
+                            want,
+                            "{src} width={width} seeds={seeds:?}"
                         );
                     }
                 }
@@ -874,7 +764,8 @@ mod tests {
         let mut scratch = EvalScratch::new();
         for _ in 0..3 {
             let mut sink = Collect { all: vec![], prune_ml: false };
-            let n = enumerate_with_program(&program, &plan, &d, &idx, &[], &mut scratch, &mut sink);
+            let n =
+                enumerate_with_program(&program, &plan, &d, &idx, &[], &mut scratch, &mut sink, 64);
             assert_eq!(n, 3);
         }
         let mut sink = Collect { all: vec![], prune_ml: false };
@@ -886,6 +777,7 @@ mod tests {
             &[(TupleVar(1), 0)],
             &mut scratch,
             &mut sink,
+            64,
         );
         assert_eq!(n, 2); // R0 and R1 join S0.
     }

@@ -16,6 +16,13 @@
 //!   then update-driven `IncDeduce` rounds that either *fire* cached
 //!   dependencies or re-join only the valuations touched by new matches.
 //!
+//! Both `Deduce` and the seeded re-joins of `IncDeduce` run one valuation
+//! enumerator, [`enumerate_with_program`], which checks recursive
+//! predicates over candidate windows of [`ChaseConfig::batch_size`] rows;
+//! the window width never changes the result. The greedy enumerator
+//! ([`enumerate_valuations_greedy`]) is kept as the test oracle and the
+//! `chase_eval` bench baseline.
+//!
 //! The engine doubles as the per-worker algorithm of the parallel `DMatch`:
 //! `A` is [`ChaseEngine::deduce`] and `A_Δ` is [`ChaseEngine::incdeduce`],
 //! both speaking [`DeltaBatch`] — the immutable, sorted, `Arc`-backed unit
@@ -36,17 +43,14 @@ pub mod support;
 pub mod union_find;
 
 pub use batch::{BatchStats, DeltaBatch};
+pub use deps::Pending;
 pub use engine::{run_match, ChaseConfig, ChaseEngine, ChaseOutcome, ChaseStats, UpdateDelta};
-pub use eval::{
-    enumerate_valuations, enumerate_with_program, enumerate_with_program_batched, EvalScratch,
-    ValuationSink,
-};
+pub use eval::{enumerate_valuations, enumerate_with_program, EvalScratch, ValuationSink};
 pub use facts::{ChaseState, Fact, MlOracle, MlSigTable};
 pub use greedy::enumerate_valuations_greedy;
 pub use naive::naive_chase;
 pub use plan::{CompiledHead, CompiledRule, RecPred};
 pub use program::RuleProgram;
-pub use deps::Pending;
 pub use soft::{soft_chase, SoftFact, SoftOutcome};
 pub use support::{Provenance, SupportLog};
 pub use union_find::MatchSet;

@@ -256,8 +256,8 @@ impl RuleProgram {
     /// short-circuit the expensive ones). Ties keep plan order, making the
     /// result deterministic for any rank function; the engine feeds
     /// observed selectivity × model cost and refreshes once per `Deduce`
-    /// round, so scalar and batched evaluation of the same program see
-    /// identical predicate streams.
+    /// round, so every window width of the same program sees identical
+    /// predicate streams.
     pub fn reorder_rec_checks(&mut self, rank: impl Fn(u16) -> f64) {
         for step in &mut self.steps {
             if step.rec_checks.len() > 1 {

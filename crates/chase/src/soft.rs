@@ -173,7 +173,17 @@ pub fn soft_chase(
                 min_confidence,
                 changed: &mut changed,
             };
-            enumerate_with_program(program, plan, dataset, &indexes, &[], &mut scratch, &mut sink);
+            // Width 1: `prune_rec` reads confidences `visit` raises mid-round.
+            enumerate_with_program(
+                program,
+                plan,
+                dataset,
+                &indexes,
+                &[],
+                &mut scratch,
+                &mut sink,
+                1,
+            );
         }
         if !changed {
             break;

@@ -51,13 +51,9 @@ fn dep_cache_replaces_seeded_joins() {
     assert_eq!(cached.stats.deps_dropped, 0, "H never overflows here");
     assert_eq!(cached.stats.seeded_joins, 0, "with a complete H no join is ever re-run");
 
-    let fallback = run_match(
-        &d,
-        &rules,
-        &reg,
-        &ChaseConfig { dep_capacity: 0, use_dep_cache: false, ..Default::default() },
-    )
-    .unwrap();
+    let fallback =
+        run_match(&d, &rules, &reg, &ChaseConfig { dep_capacity: 0, ..Default::default() })
+            .unwrap();
     assert_eq!(fallback.stats.deps_recorded, 0);
     assert!(fallback.stats.seeded_joins > 0, "fallback re-runs joins");
 
@@ -80,13 +76,8 @@ fn ml_memo_eliminates_repeat_classifier_calls() {
 #[test]
 fn bounded_h_mixes_both_strategies() {
     let (d, rules, reg) = setup();
-    let out = run_match(
-        &d,
-        &rules,
-        &reg,
-        &ChaseConfig { dep_capacity: 4, use_dep_cache: true, ..Default::default() },
-    )
-    .unwrap();
+    let out = run_match(&d, &rules, &reg, &ChaseConfig { dep_capacity: 4, ..Default::default() })
+        .unwrap();
     assert!(out.stats.deps_dropped > 0, "tiny H overflows");
     assert!(out.stats.seeded_joins > 0, "overflow falls back to joins");
     let mut full = run_match(&d, &rules, &reg, &ChaseConfig::default()).unwrap();

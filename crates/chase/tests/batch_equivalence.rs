@@ -1,16 +1,16 @@
-//! Engine-level batching equivalence: `run_match` with batched predicate
-//! windows must be bit-identical to the scalar engine — same match
+//! Engine-level window equivalence: `run_match` at every window width must
+//! be bit-identical to width 1 (per-candidate evaluation) — same match
 //! closure, same validated set, and the same full [`ChaseStats`]
-//! (`ml_calls` / `ml_cache_hits` included) — for every batch width, on
-//! random datasets and rule subsets.
+//! (`ml_calls` / `ml_cache_hits` included) — on random datasets and rule
+//! subsets.
 //!
-//! The counters are the sharp part: the batched oracle probes the memo
-//! pred-major over a window instead of row-major per candidate, so the
-//! *sequence* of probes differs from scalar. Both counters are
-//! permutation-invariant (calls = distinct canonical keys, hits = probes
-//! minus distinct), and the probe multiset is preserved because predicate
-//! `j` scores exactly the candidates that survived predicates `< j` —
-//! which is the scalar short-circuit image. This test pins that argument.
+//! The counters are the sharp part: a wide window probes the memo
+//! pred-major instead of row-major per candidate, so the *sequence* of
+//! probes differs from width 1. Both counters are permutation-invariant
+//! (calls = distinct canonical keys, hits = probes minus distinct), and
+//! the probe multiset is preserved because predicate `j` scores exactly
+//! the candidates that survived predicates `< j` — which is the
+//! per-candidate short-circuit image. This test pins that argument.
 
 use dcer_chase::{run_match, ChaseConfig};
 use dcer_ml::{EqualTextClassifier, MlRegistry, NgramCosineClassifier};
@@ -62,19 +62,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn batched_engine_is_bit_identical_to_scalar(
+    fn every_width_is_bit_identical_to_width_one(
         rows in prop::collection::vec((0u8..5, 0u8..6), 1..10),
     ) {
         let d = build(&rows);
         let rules = dcer_mrl::parse_rules(d.catalog(), RULES).unwrap();
         let reg = registry();
 
-        let scalar = ChaseConfig { use_batching: false, ..Default::default() };
-        let mut want = run_match(&d, &rules, &reg, &scalar).unwrap();
+        let width_one = ChaseConfig { batch_size: 1, ..Default::default() };
+        let mut want = run_match(&d, &rules, &reg, &width_one).unwrap();
         let want_clusters = want.matches.clusters();
 
-        for width in [1usize, 7, 64, 4096] {
-            let cfg = ChaseConfig { use_batching: true, batch_size: width, ..Default::default() };
+        for width in [7usize, 64, 4096] {
+            let cfg = ChaseConfig { batch_size: width, ..Default::default() };
             let mut got = run_match(&d, &rules, &reg, &cfg).unwrap();
             prop_assert_eq!(got.matches.clusters(), want_clusters.clone(), "width {}", width);
             prop_assert_eq!(&got.validated, &want.validated, "width {}", width);

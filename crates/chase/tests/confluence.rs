@@ -72,7 +72,7 @@ proptest! {
 
     /// Any permutation (and multiplicity) of rules converges to the same Γ,
     /// and the optimized engine agrees with the naive chase in every
-    /// configuration (dep cache on / off / tiny).
+    /// configuration (dep cache full / none / tiny).
     #[test]
     fn church_rosser_and_engine_equivalence(
         rows_p in prop::collection::vec((0u8..4, 0u8..4, 0u8..4), 1..7),
@@ -104,9 +104,8 @@ proptest! {
 
         for cfg in [
             ChaseConfig::default(),
-            ChaseConfig { dep_capacity: 0, use_dep_cache: true, ..Default::default() },
-            ChaseConfig { dep_capacity: 0, use_dep_cache: false, ..Default::default() },
-            ChaseConfig { dep_capacity: 3, use_dep_cache: true, ..Default::default() },
+            ChaseConfig { dep_capacity: 0, ..Default::default() },
+            ChaseConfig { dep_capacity: 3, ..Default::default() },
         ] {
             let outcome = run_match(&d, &permuted_rules, &reg, &cfg).unwrap();
             let clusters = canonical_clusters(outcome.matches);

@@ -1,7 +1,8 @@
 //! Asserts the enumerator's allocation-free hot path: once a
 //! [`RuleProgram`] is compiled and the [`EvalScratch`] warmed, a full
-//! `enumerate_with_program` run — index probes, candidate iteration,
-//! equality checks, visits — performs zero heap allocations.
+//! `enumerate_with_program` run — index probes, candidate windows,
+//! equality checks, recursive-predicate checks, visits — performs zero heap
+//! allocations, at width 1 and at the default width alike.
 //!
 //! Lives in its own integration binary so the counting global allocator
 //! can't interact with other tests (same harness as
@@ -41,7 +42,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Counts visits without storing them — the measured window must not be
-/// polluted by the sink's own bookkeeping.
+/// polluted by the sink's own bookkeeping. Prunes nothing, so the
+/// recursive-check path runs on every candidate.
 struct CountOnly {
     visited: u64,
 }
@@ -55,7 +57,12 @@ impl ValuationSink for CountOnly {
     }
 }
 
-fn setup() -> (Dataset, CompiledRule) {
+/// The rules under test: a constant-filtered chain join (no recursive
+/// predicate), and an equi-join whose step also checks an ML predicate.
+const RULES: &str = r#"match j: R(t), S(s), R(u), t.k = s.k, s.k = u.k, t.v = "v3" -> t.id = u.id;
+    match ml: R(t), S(s), t.k = s.k, m(t.v, s.w) -> dummy(t.k, s.k)"#;
+
+fn setup() -> (Dataset, Vec<CompiledRule>) {
     let cat = Arc::new(
         Catalog::from_schemas(vec![
             RelationSchema::of("R", &[("k", ValueType::Str), ("v", ValueType::Str)]),
@@ -68,44 +75,61 @@ fn setup() -> (Dataset, CompiledRule) {
         d.insert(0, vec![format!("key{}", i % 150).into(), format!("v{}", i % 7).into()]).unwrap();
         d.insert(1, vec![format!("key{}", i % 200).into(), format!("w{i}").into()]).unwrap();
     }
-    let rules = dcer_mrl::parse_rules(
-        d.catalog(),
-        r#"match j: R(t), S(s), R(u), t.k = s.k, s.k = u.k, t.v = "v3" -> t.id = u.id"#,
-    )
-    .unwrap();
+    let rules = dcer_mrl::parse_rules(d.catalog(), RULES).unwrap();
     let sigs = MlSigTable::build(&rules);
-    (d, CompiledRule::compile(&rules, &sigs, 0))
+    let plans = CompiledRule::compile_all(&rules, &sigs);
+    (d, plans)
 }
 
 #[test]
 fn warmed_enumeration_does_not_allocate() {
     assert!(!dcer_obs::enabled(), "test requires no recorder installed");
-    let (d, plan) = setup();
+    let (d, plans) = setup();
+    assert!(plans[0].rec_preds.is_empty() && !plans[1].rec_preds.is_empty());
     let mut indexes = IndexSet::new();
-    let program = RuleProgram::compile(&plan, &d, &mut indexes);
-    let mut scratch = EvalScratch::new();
-    let mut sink = CountOnly { visited: 0 };
+    let programs: Vec<RuleProgram> =
+        plans.iter().map(|p| RuleProgram::compile(p, &d, &mut indexes)).collect();
 
-    // Warm-up: sizes the scratch buffers, touches every index path.
-    let warm = enumerate_with_program(&program, &plan, &d, &indexes, &[], &mut scratch, &mut sink);
-    assert!(warm > 0, "setup must produce valuations for the test to mean anything");
+    for width in [1, 1024] {
+        for (plan, program) in plans.iter().zip(&programs) {
+            let mut scratch = EvalScratch::new();
+            let mut sink = CountOnly { visited: 0 };
+            let mut run = |seeds: &[(TupleVar, u32)], sink: &mut CountOnly| {
+                enumerate_with_program(
+                    program,
+                    plan,
+                    &d,
+                    &indexes,
+                    seeds,
+                    &mut scratch,
+                    sink,
+                    width,
+                )
+            };
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let unseeded =
-        enumerate_with_program(&program, &plan, &d, &indexes, &[], &mut scratch, &mut sink);
-    let seeded = enumerate_with_program(
-        &program,
-        &plan,
-        &d,
-        &indexes,
-        &[(TupleVar(1), 3)],
-        &mut scratch,
-        &mut sink,
-    );
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+            // Warm-up: sizes the scratch buffers, touches every index path.
+            let warm = run(&[], &mut sink);
+            assert!(
+                warm > 0,
+                "`{}` must produce valuations for the test to mean anything",
+                plan.name
+            );
 
-    assert_eq!(unseeded, warm);
-    assert!(seeded > 0, "seeded run must also enumerate");
-    assert!(sink.visited > 0);
-    assert_eq!(after - before, 0, "warmed enumeration allocated {} times", after - before);
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let unseeded = run(&[], &mut sink);
+            let seeded = run(&[(TupleVar(1), 3)], &mut sink);
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+
+            assert_eq!(unseeded, warm);
+            assert!(seeded > 0, "seeded run must also enumerate");
+            assert!(sink.visited > 0);
+            assert_eq!(
+                after - before,
+                0,
+                "warmed enumeration of `{}` at width {width} allocated {} times",
+                plan.name,
+                after - before
+            );
+        }
+    }
 }

@@ -240,7 +240,7 @@ mod tests {
 
         let mut cfg = DmatchConfig::new(3);
         cfg.use_mqo = false;
-        cfg.chase = ChaseConfig { dep_capacity: 1, use_dep_cache: true, ..Default::default() };
+        cfg.chase = ChaseConfig { dep_capacity: 1, ..Default::default() };
         let mut report = run_dmatch(&d, &rs, &reg, &cfg).unwrap();
         assert_eq!(report.outcome.matches.clusters(), expected);
     }

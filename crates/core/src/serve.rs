@@ -134,8 +134,7 @@ impl Snapshot {
 
     /// Whether the snapshot resolves `a` and `b` to the same entity.
     pub fn same_entity(&self, a: Tid, b: Tid) -> bool {
-        a == b
-            || matches!((self.cluster_of(a), self.cluster_of(b)), (Some(x), Some(y)) if x == y)
+        a == b || matches!((self.cluster_of(a), self.cluster_of(b)), (Some(x), Some(y)) if x == y)
     }
 
     /// Validated ML predictions.
@@ -522,8 +521,7 @@ impl ServeRegistry {
         config: &DmatchConfig,
     ) -> Result<Arc<Tenant>, String> {
         let resolver = session.resident(dataset, config)?;
-        let tenant =
-            Arc::new(Tenant { name: name.to_string(), session, resolver });
+        let tenant = Arc::new(Tenant { name: name.to_string(), session, resolver });
         self.tenants.write().unwrap().insert(name.to_string(), Arc::clone(&tenant));
         Ok(tenant)
     }
@@ -675,7 +673,9 @@ mod tests {
     fn registry_serves_multiple_tenants() {
         let registry = ServeRegistry::new();
         let s = session();
-        registry.register("left", s.clone(), &dataset(&[("a", "1"), ("a", "2")]), &DmatchConfig::new(2)).unwrap();
+        registry
+            .register("left", s.clone(), &dataset(&[("a", "1"), ("a", "2")]), &DmatchConfig::new(2))
+            .unwrap();
         registry.register("right", s, &dataset(&[("x", "7")]), &DmatchConfig::new(1)).unwrap();
         assert_eq!(registry.names(), vec!["left".to_string(), "right".to_string()]);
         let left = registry.get("left").unwrap();

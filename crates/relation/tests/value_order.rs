@@ -4,7 +4,7 @@
 //! where the old `as f64` widening rounded distinct values together.
 
 use dcer_relation::Value;
-use proptest::{proptest, prop_assert, prop_assert_eq, ProptestConfig};
+use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};

@@ -426,9 +426,7 @@ fn serve_request_inner(
                         ("external", s.external.into()),
                         (
                             "support",
-                            Json::Array(
-                                s.support.iter().map(|&t| tid_json(catalog, t)).collect(),
-                            ),
+                            Json::Array(s.support.iter().map(|&t| tid_json(catalog, t)).collect()),
                         ),
                         (
                             "antecedents",
@@ -488,8 +486,7 @@ fn serve_request_inner(
                 }
             }
             let report = tenant.resolver.admit(batch)?;
-            let tids =
-                |ts: &[Tid]| Json::Array(ts.iter().map(|&t| tid_json(catalog, t)).collect());
+            let tids = |ts: &[Tid]| Json::Array(ts.iter().map(|&t| tid_json(catalog, t)).collect());
             Ok((
                 json_obj(&[
                     ("ok", true.into()),

@@ -178,10 +178,10 @@ fn helpful_errors() {
 fn bad_invocations_print_usage_and_exit_nonzero() {
     let f = Fixture::new("badargs");
     let cases: Vec<Vec<String>> = vec![
-        vec![],                                     // no subcommand
-        vec!["frobnicate".into()],                  // unknown subcommand
-        vec!["match".into(), "stray".into()],       // positional arg
-        vec!["match".into(), "--schema".into()],    // flag without value
+        vec![],                                  // no subcommand
+        vec!["frobnicate".into()],               // unknown subcommand
+        vec!["match".into(), "stray".into()],    // positional arg
+        vec!["match".into(), "--schema".into()], // flag without value
         vec![
             // --workers must be numeric and nonzero
             "match".into(),
@@ -288,9 +288,17 @@ fn serve_answers_ndjson_requests_over_stdin() {
     assert!(lines[1].contains(r#""same_entity":true"#), "{}", lines[1]);
     assert!(lines[1].contains(r#""support""#), "{}", lines[1]);
     // admit bumps the epoch and reports the delta.
-    assert!(lines[2].contains(r#""epoch":1"#) && lines[2].contains(r#""inserted""#), "{}", lines[2]);
+    assert!(
+        lines[2].contains(r#""epoch":1"#) && lines[2].contains(r#""inserted""#),
+        "{}",
+        lines[2]
+    );
     // the inserted p5 joins the Ada cluster in the new snapshot.
-    assert!(lines[3].contains(r#""epoch":1"#) && lines[3].contains(r#""cluster":"#), "{}", lines[3]);
+    assert!(
+        lines[3].contains(r#""epoch":1"#) && lines[3].contains(r#""cluster":"#),
+        "{}",
+        lines[3]
+    );
     assert!(lines[3].matches(r#""rel":"Person""#).count() >= 4, "{}", lines[3]);
     // bad relation and bad JSON are per-request errors, not crashes.
     assert!(lines[4].contains(r#""ok":false"#), "{}", lines[4]);

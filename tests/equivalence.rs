@@ -125,11 +125,10 @@ proptest! {
         let s = session();
         let expected = s.run_sequential(&d).matches.clusters();
         for chase in [
-            ChaseConfig { dep_capacity: 0, use_dep_cache: false, ..Default::default() },
-            ChaseConfig { dep_capacity: 1, use_dep_cache: true, ..Default::default() },
-            ChaseConfig { use_batching: false, ..Default::default() },
-            ChaseConfig { use_batching: true, batch_size: 1, ..Default::default() },
-            ChaseConfig { use_batching: false, dep_capacity: 1, ..Default::default() },
+            ChaseConfig { dep_capacity: 0, ..Default::default() },
+            ChaseConfig { dep_capacity: 1, ..Default::default() },
+            ChaseConfig { batch_size: 1, ..Default::default() },
+            ChaseConfig { batch_size: 1, dep_capacity: 1, ..Default::default() },
         ] {
             let s2 = session().with_chase_config(chase.clone());
             prop_assert_eq!(&s2.run_sequential(&d).matches.clusters(), &expected, "{:?}", chase);

@@ -5,10 +5,10 @@
 //! final dataset. Pins both the distributed [`UpdateSession`] (worker
 //! counts 1/2/4/8: delta routing, retraction notices, rederive exchange)
 //! and the single-engine `incremental_engine` + `apply_update` path.
-//! Each case also picks a predicate-batching setting (off / width 7 /
-//! width 1024) for the resident engines, while the from-scratch oracle
-//! always runs scalar — so incremental maintenance over batched windows
-//! is cross-pinned against the scalar closure.
+//! Each case also picks a predicate window width (1 / 7 / 1024) for the
+//! resident engines, while the from-scratch oracle always runs width 1 —
+//! so incremental maintenance over wide windows is cross-pinned against
+//! the per-candidate closure.
 
 use dcer::prelude::*;
 use dcer_ml::EqualTextClassifier;
@@ -30,14 +30,14 @@ fn catalog() -> Arc<Catalog> {
     )
 }
 
-/// Predicate-batching settings exercised by the matrix: scalar, a
-/// degenerate window, and the default-sized window.
+/// Window widths exercised by the matrix: per-candidate, a small odd
+/// window, and the default-sized window.
 fn batch_configs() -> [dcer_chase::ChaseConfig; 3] {
     use dcer_chase::ChaseConfig;
     [
-        ChaseConfig { use_batching: false, ..Default::default() },
-        ChaseConfig { use_batching: true, batch_size: 7, ..Default::default() },
-        ChaseConfig { use_batching: true, batch_size: 1024, ..Default::default() },
+        ChaseConfig { batch_size: 1, ..Default::default() },
+        ChaseConfig { batch_size: 7, ..Default::default() },
+        ChaseConfig { batch_size: 1024, ..Default::default() },
     ]
 }
 
@@ -145,10 +145,10 @@ proptest! {
         stream in stream_strategy(),
         batch_sel in 0usize..3,
     ) {
-        // Resident engines carry this case's batching setting; the
-        // from-scratch oracle always runs scalar.
+        // Resident engines carry this case's window width; the
+        // from-scratch oracle always runs width 1.
         let s = session().with_chase_config(batch_configs()[batch_sel].clone());
-        let s_scalar = session().with_chase_config(batch_configs()[0].clone());
+        let s_width_one = session().with_chase_config(batch_configs()[0].clone());
         for workers in [1usize, 2, 4, 8] {
             let base = build(&rows_p, &rows_q);
             let mut all: Vec<Tid> = base_tids(&base);
@@ -158,7 +158,7 @@ proptest! {
                 let report = us.run_update(&batch).unwrap();
                 all.extend(report.inserted.iter().copied());
                 let mut got = us.outcome();
-                let mut want = s_scalar.run_sequential(us.dataset());
+                let mut want = s_width_one.run_sequential(us.dataset());
                 prop_assert_eq!(
                     got.matches.clusters(), want.matches.clusters(),
                     "clusters diverged: workers={} batch={}", workers, bi
@@ -181,7 +181,7 @@ proptest! {
         batch_sel in 0usize..3,
     ) {
         let s = session().with_chase_config(batch_configs()[batch_sel].clone());
-        let s_scalar = session().with_chase_config(batch_configs()[0].clone());
+        let s_width_one = session().with_chase_config(batch_configs()[0].clone());
         // The shadow dataset mirrors the engine's fragment and allocates
         // the authoritative tuple ids for each batch's inserts.
         let mut shadow = build(&rows_p, &rows_q);
@@ -197,7 +197,7 @@ proptest! {
             engine.apply_update(inserts, &report.deleted);
 
             let mut resident = engine.state_mut().clone();
-            let mut want = s_scalar.run_sequential(&shadow);
+            let mut want = s_width_one.run_sequential(&shadow);
             prop_assert_eq!(
                 resident.matches.clusters(), want.matches.clusters(),
                 "clusters diverged at batch {}", bi

@@ -3,10 +3,10 @@
 //! output (clusters, validated ML facts, exact partition counters) across
 //! work-stealing pool sizes {1, 2, 4, 8}, in both execution modes, with
 //! and without an explicitly shared pool, and agrees with the sequential
-//! `Match` oracle. Each case also picks a predicate-batching setting
-//! (off / width 7 / width 1024) for the session under test while the
-//! oracle always runs scalar, so batched evaluation is cross-pinned
-//! against scalar at every pool size.
+//! `Match` oracle. Each case also picks a predicate window width
+//! (1 / 7 / 1024) for the session under test while the oracle always runs
+//! width 1, so windowed evaluation is cross-pinned against per-candidate
+//! evaluation at every pool size.
 
 use dcer::ml::EqualTextClassifier;
 use dcer::prelude::*;
@@ -29,14 +29,14 @@ fn catalog() -> Arc<Catalog> {
     )
 }
 
-/// Predicate-batching settings exercised by the parity matrix: scalar,
-/// a degenerate window, and the default-sized window.
+/// Window widths exercised by the parity matrix: per-candidate, a small
+/// odd window, and the default-sized window.
 fn batch_configs() -> [dcer_chase::ChaseConfig; 3] {
     use dcer_chase::ChaseConfig;
     [
-        ChaseConfig { use_batching: false, ..Default::default() },
-        ChaseConfig { use_batching: true, batch_size: 7, ..Default::default() },
-        ChaseConfig { use_batching: true, batch_size: 1024, ..Default::default() },
+        ChaseConfig { batch_size: 1, ..Default::default() },
+        ChaseConfig { batch_size: 7, ..Default::default() },
+        ChaseConfig { batch_size: 1024, ..Default::default() },
     ]
 }
 
@@ -72,10 +72,10 @@ proptest! {
         workers in 1usize..5,
         batch_sel in 0usize..3,
     ) {
-        // Session under test carries this case's batching setting; the
-        // sequential oracle below always runs scalar.
+        // Session under test carries this case's window width; the
+        // sequential oracle below always runs width 1.
         let s = session().with_chase_config(batch_configs()[batch_sel].clone());
-        let s_scalar = session().with_chase_config(batch_configs()[0].clone());
+        let s_width_one = session().with_chase_config(batch_configs()[0].clone());
         let mut d = Dataset::new(s.catalog().clone());
         for &(k, x, fk) in &rows_p {
             d.insert(0, vec![format!("k{k}").into(), format!("x{x}").into(), format!("f{fk}").into()])
@@ -85,17 +85,17 @@ proptest! {
             d.insert(1, vec![format!("f{fk}").into(), format!("y{y}").into()]).unwrap();
         }
 
-        // Oracle: the *scalar* sequential Match (single-shard pipeline).
-        let mut seq = s_scalar.run_sequential(&d);
+        // Oracle: the width-1 sequential Match (single-shard pipeline).
+        let mut seq = s_width_one.run_sequential(&d);
         let expected_clusters = seq.matches.clusters();
 
-        // The batched sequential engine agrees with the scalar oracle
+        // The sequential engine at this width agrees with the oracle
         // before any parallelism enters the picture.
-        let mut batched_seq = s.run_sequential(&d);
+        let mut windowed_seq = s.run_sequential(&d);
         prop_assert_eq!(
-            batched_seq.matches.clusters(),
+            windowed_seq.matches.clusters(),
             expected_clusters.clone(),
-            "batched sequential vs scalar oracle (batch_sel={})",
+            "sequential vs width-1 oracle (batch_sel={})",
             batch_sel
         );
 

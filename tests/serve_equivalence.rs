@@ -2,7 +2,7 @@
 //! [`ResidentResolver::snapshot`] / `cluster_of` / `explain` while the main
 //! thread admits a randomized CDC stream (same operation zoo as
 //! `incremental_equivalence`). Every snapshot any reader observes must be
-//! bit-identical to the from-scratch scalar closure of exactly the prefix of
+//! bit-identical to the from-scratch sequential closure of exactly the prefix of
 //! batches its epoch says were admitted — snapshot isolation means readers
 //! never see a half-applied batch, and epochs only move forward per reader.
 //! Explain chains are checked against the snapshot's own exported
@@ -105,7 +105,7 @@ fn to_batch(ops: &[Op], all: &[Tid]) -> UpdateBatch {
     batch
 }
 
-/// From-scratch scalar closure of `shadow`: the oracle every snapshot is
+/// From-scratch sequential closure of `shadow`: the oracle every snapshot is
 /// compared against.
 fn scratch(s: &DcerSession, shadow: &Dataset) -> (Vec<Vec<Tid>>, BTreeSet<Fact>) {
     let mut want = s.run_sequential(shadow);
