@@ -851,8 +851,9 @@ fn update_demo(scale: f64, workers: usize) {
 }
 
 /// Resident serving smoke: boot a [`dcer_core::ResidentResolver`] over TPCH,
-/// race concurrent reader threads (lookups + explains against lock-free
-/// snapshots) against a writer admitting CDC churn batches, and after every
+/// race concurrent reader threads (lookups + explains against immutable
+/// snapshots, loaded from a ring of 8 `Mutex<Arc<_>>` slots) against a
+/// writer admitting CDC churn batches, and after every
 /// admit verify the published snapshot equals a from-scratch closure of the
 /// data seen so far. Reader tail latency is recorded into a
 /// [`dcer_obs::Histogram`] and its p99 asserted bounded — readers must not
@@ -880,8 +881,9 @@ fn serve_demo(scale: f64, workers: usize) {
     );
 
     // Readers: hammer cluster_of + explain on snapshots until stopped,
-    // recording per-read latency. They only ever touch the lock-free
-    // snapshot path — never the writer's channel.
+    // recording per-read latency. They only ever touch the snapshot ring,
+    // whose slot mutexes guard a pointer clone — never the writer's
+    // channel.
     let stop = Arc::new(AtomicBool::new(false));
     let lat = Arc::new(Mutex::new(dcer_obs::Histogram::new()));
     let probe: Vec<_> = w.data.relation(w.target_rel).tuples().iter().map(|t| t.tid).collect();
@@ -993,7 +995,7 @@ fn serve_demo(scale: f64, workers: usize) {
     m.insert("final_epoch", Value::from(resolver.snapshot().epoch()));
     archive(Value::Object(m));
     println!(
-        "all {BATCHES} snapshots verified against from-scratch closures; readers stayed lock-free.\n"
+        "all {BATCHES} snapshots verified against from-scratch closures; readers never waited on an admit.\n"
     );
 }
 

@@ -80,6 +80,9 @@ pub struct ChaseStats {
     pub ml_calls: u64,
     /// ML memo-cache hits.
     pub ml_cache_hits: u64,
+    /// Answers held in the ML memo (never evicted, so this is also the
+    /// memo's share of memory in entries).
+    pub ml_memo_entries: u64,
     /// `IncDeduce` rounds executed.
     pub rounds: u64,
     /// Facts received from peers via `IncDeduce`.
@@ -99,6 +102,7 @@ impl ChaseStats {
         self.seeded_joins += other.seeded_joins;
         self.ml_calls += other.ml_calls;
         self.ml_cache_hits += other.ml_cache_hits;
+        self.ml_memo_entries += other.ml_memo_entries;
         self.rounds += other.rounds;
         self.facts_received += other.facts_received;
         self.facts_absorbed += other.facts_absorbed;
@@ -123,6 +127,7 @@ impl ChaseStats {
         add("chase.seeded_joins", self.seeded_joins);
         add("chase.ml_calls", self.ml_calls);
         add("chase.ml_cache_hits", self.ml_cache_hits);
+        add("chase.ml_memo_entries", self.ml_memo_entries);
         add("chase.rounds", self.rounds);
         add("chase.facts_received", self.facts_received);
         add("chase.facts_absorbed", self.facts_absorbed);
@@ -377,6 +382,7 @@ impl ChaseEngine {
         let mut s = self.stats;
         s.ml_calls = self.oracle.calls();
         s.ml_cache_hits = self.oracle.hits();
+        s.ml_memo_entries = self.oracle.memo_entries() as u64;
         let (rec, fired, dropped) = self.deps.counters();
         s.deps_recorded = rec;
         s.deps_fired = fired;

@@ -6,6 +6,7 @@ use dcer_ml::MlRegistry;
 use dcer_mrl::{Consequence, Predicate, RuleSet};
 use dcer_relation::{AttrId, RelId, Tid, Tuple, Value};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A deduced element of `Γ`: either an id match or a validated ML
@@ -262,25 +263,124 @@ impl ChaseState {
 /// size.
 const ORACLE_CHUNK: usize = 512;
 
+/// A map keyed on a canonical pair's two rows packed into one word (row of
+/// the first tuple high, second low) through [`MemoHasher`]. The memo
+/// keeps one per scope-mixed signature, and a signature fixes the relation
+/// of each side, so the rows identify the pair.
+type MemoMap<V> = HashMap<u64, V, BuildHasherDefault<MemoHasher>>;
+
+/// Fx-style multiplicative hasher for [`MemoMap`] keys: one add-multiply
+/// per word, then a rotate so the well-mixed high product bits feed both
+/// the bucket index (low bits) and the control tag (top bits).
+/// Deterministic — no per-process seed — and a few cycles where SipHash on
+/// the same key is the largest single cost of a memo probe. Keys are row
+/// numbers the program assigns, not outside input, so collision-resistance
+/// buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct MemoHasher(u64);
+
+impl MemoHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+}
+
+impl Hasher for MemoHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(MemoHasher::K);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// `miss_of` marker for a batch position answered straight from the memo.
+const MEMO_HIT: u32 = u32::MAX;
+
 /// Memoizing ML oracle: evaluates classifier predicates, caching one boolean
 /// per `(signature, tuple pair)` — the paper's inverted index on ML
 /// predicates (Section V-A, structure (1b)).
+///
+/// The probe path costs only the model's kernel: the memo holds one map
+/// per scope-mixed signature, keyed on one packed word hashed by an
+/// in-tree Fx-style hasher (16 bytes an entry), and every per-batch
+/// structure — the pending-miss map, the miss keys, the per-position miss
+/// indices and the attribute-vector inputs handed to
+/// [`dcer_ml::MlModel::classify_batch`] — is an oracle member reused across
+/// calls, so once warmed to a batch width a miss allocates nothing beyond
+/// the model's own answer vector and memo growth.
 pub struct MlOracle {
     models: Vec<Arc<dyn dcer_ml::MlModel>>,
-    cache: HashMap<(u16, Tid, Tid), bool>,
+    /// `(sig ^ scope << 8, answers)`: a handful of partitions, searched
+    /// linearly.
+    memo: Vec<(u16, MemoMap<bool>)>,
     calls: u64,
     hits: u64,
+    /// This batch's pending misses: canonical key → miss index.
+    pending: MemoMap<u32>,
+    /// Canonical key of each miss, in first-occurrence order.
+    miss_keys: Vec<u64>,
+    /// Per batch position: the miss index it waits on, or [`MEMO_HIT`].
+    miss_of: Vec<u32>,
+    /// Classifier inputs, one per miss; `inputs[..miss_keys.len()]` are live
+    /// during a batch and cleared (capacity kept) after it.
+    inputs: Vec<(Vec<Value>, Vec<Value>)>,
 }
 
 impl std::fmt::Debug for MlOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MlOracle")
             .field("models", &self.models.len())
-            .field("cached", &self.cache.len())
+            .field("cached", &self.memo_entries())
             .field("calls", &self.calls)
             .field("hits", &self.hits)
             .finish()
     }
+}
+
+/// The canonical memo key of a probe, and whether canonicalization swapped
+/// its sides (symmetric signatures order the pair by tid).
+fn memo_key(left: &Tuple, right: &Tuple, symmetric: bool) -> (u64, bool) {
+    let swap = symmetric && right.tid < left.tid;
+    let (a, b) = if swap { (right.tid, left.tid) } else { (left.tid, right.tid) };
+    ((a.row as u64) << 32 | b.row as u64, swap)
+}
+
+/// The memo partition of scope-mixed signature `sig_key`, created empty on
+/// first use.
+fn partition(memo: &mut Vec<(u16, MemoMap<bool>)>, sig_key: u16) -> &mut MemoMap<bool> {
+    let i = match memo.iter().position(|&(k, _)| k == sig_key) {
+        Some(i) => i,
+        None => {
+            memo.push((sig_key, MemoMap::default()));
+            memo.len() - 1
+        }
+    };
+    &mut memo[i].1
+}
+
+/// Write the attribute vectors of `sig` over `(l, r)` into input `slot`,
+/// reusing its buffers (a slot past the end is appended).
+fn stage_input(
+    inputs: &mut Vec<(Vec<Value>, Vec<Value>)>,
+    slot: usize,
+    sig: &MlSig,
+    l: &Tuple,
+    r: &Tuple,
+) {
+    if slot == inputs.len() {
+        inputs.push((Vec::new(), Vec::new()));
+    }
+    let (lv, rv) = &mut inputs[slot];
+    lv.clear();
+    rv.clear();
+    lv.extend(sig.left.1.iter().map(|&a| l.get(a).clone()));
+    rv.extend(sig.right.1.iter().map(|&a| r.get(a).clone()));
 }
 
 impl MlOracle {
@@ -293,7 +393,16 @@ impl MlOracle {
                 registry.get(name).ok_or_else(|| format!("ML model `{name}` not registered"))?;
             models.push(m.clone());
         }
-        Ok(MlOracle { models, cache: HashMap::new(), calls: 0, hits: 0 })
+        Ok(MlOracle {
+            models,
+            memo: Vec::new(),
+            calls: 0,
+            hits: 0,
+            pending: MemoMap::default(),
+            miss_keys: Vec::new(),
+            miss_of: Vec::new(),
+            inputs: Vec::new(),
+        })
     }
 
     /// Evaluate the classifier of `sig` on a tuple pair, memoized.
@@ -310,24 +419,23 @@ impl MlOracle {
         scope: u16,
     ) -> bool {
         let sig = table.sig(sig_id);
-        let sig_key = sig_id ^ (scope << 8);
-        let key = if sig.is_symmetric() && right.tid < left.tid {
-            (sig_key, right.tid, left.tid)
-        } else {
-            (sig_key, left.tid, right.tid)
-        };
-        if let Some(&v) = self.cache.get(&key) {
+        debug_assert_eq!((left.tid.rel, right.tid.rel), (sig.left.0, sig.right.0));
+        let memo = partition(&mut self.memo, sig_id ^ (scope << 8));
+        let (key, swap) = memo_key(left, right, sig.is_symmetric());
+        if let Some(&v) = memo.get(&key) {
             self.hits += 1;
             return v;
         }
         // Recompute in the canonical orientation so symmetric caching is
         // consistent even for slightly asymmetric model implementations.
-        let (l, r) = if key.1 == left.tid { (left, right) } else { (right, left) };
-        let lv: Vec<Value> = sig.left.1.iter().map(|&a| l.get(a).clone()).collect();
-        let rv: Vec<Value> = sig.right.1.iter().map(|&a| r.get(a).clone()).collect();
-        let v = self.models[sig.model as usize].predict(&lv, &rv);
+        let (l, r) = if swap { (right, left) } else { (left, right) };
+        stage_input(&mut self.inputs, 0, sig, l, r);
+        let (lv, rv) = &mut self.inputs[0];
+        let v = self.models[sig.model as usize].predict(lv, rv);
+        lv.clear();
+        rv.clear();
         self.calls += 1;
-        self.cache.insert(key, v);
+        memo.insert(key, v);
         v
     }
 
@@ -338,11 +446,12 @@ impl MlOracle {
     /// One probe pass partitions the batch: cached keys resolve as hits;
     /// the *first* occurrence of an unseen canonical key becomes a miss;
     /// later duplicates of a pending miss count as hits (the scalar loop
-    /// would have inserted the first answer before re-probing). The misses
-    /// are then scored as one [`dcer_ml::MlModel::classify_batch`] call —
-    /// chunked across `pool` when large enough, with chunk boundaries
-    /// independent of pool size so results are reproducible — inserted
-    /// into the memo, and fanned back out to every waiting batch position.
+    /// would have inserted the first answer before re-probing). Each
+    /// position records the miss it waits on. The misses are then scored
+    /// as one [`dcer_ml::MlModel::classify_batch`] call — chunked across
+    /// `pool` when large enough, with chunk boundaries independent of pool
+    /// size so results are reproducible — inserted into the memo, and read
+    /// back out at every waiting position.
     ///
     /// `waitable` semantics live in the caller (a false answer for a
     /// waitable signature defers finality rather than pruning); the oracle
@@ -359,41 +468,43 @@ impl MlOracle {
         out.clear();
         out.resize(pairs.len(), false);
         let sig = table.sig(sig_id);
-        let sig_key = sig_id ^ (scope << 8);
+        let memo = partition(&mut self.memo, sig_id ^ (scope << 8));
         let symmetric = sig.is_symmetric();
-        let mut pending: HashMap<(u16, Tid, Tid), usize> = HashMap::new();
-        let mut miss_keys: Vec<(u16, Tid, Tid)> = Vec::new();
-        let mut miss_waiters: Vec<Vec<usize>> = Vec::new();
-        let mut miss_inputs: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+        self.pending.clear();
+        self.miss_keys.clear();
+        self.miss_of.clear();
         for (i, &(left, right)) in pairs.iter().enumerate() {
-            let key = if symmetric && right.tid < left.tid {
-                (sig_key, right.tid, left.tid)
-            } else {
-                (sig_key, left.tid, right.tid)
-            };
-            if let Some(&v) = self.cache.get(&key) {
+            debug_assert_eq!((left.tid.rel, right.tid.rel), (sig.left.0, sig.right.0));
+            let (key, swap) = memo_key(left, right, symmetric);
+            if let Some(&v) = memo.get(&key) {
                 self.hits += 1;
                 out[i] = v;
-            } else if let Some(&mi) = pending.get(&key) {
-                self.hits += 1;
-                miss_waiters[mi].push(i);
-            } else {
-                pending.insert(key, miss_keys.len());
-                // Extract attribute vectors in the canonical orientation,
-                // exactly as the scalar path recomputes.
-                let (l, r) = if key.1 == left.tid { (left, right) } else { (right, left) };
-                let lv: Vec<Value> = sig.left.1.iter().map(|&a| l.get(a).clone()).collect();
-                let rv: Vec<Value> = sig.right.1.iter().map(|&a| r.get(a).clone()).collect();
-                miss_keys.push(key);
-                miss_waiters.push(vec![i]);
-                miss_inputs.push((lv, rv));
+                self.miss_of.push(MEMO_HIT);
+                continue;
             }
+            let next = self.miss_keys.len() as u32;
+            let miss = *self.pending.entry(key).or_insert(next);
+            self.miss_of.push(miss);
+            if miss != next {
+                self.hits += 1;
+                continue;
+            }
+            // Extract attribute vectors in the canonical orientation,
+            // exactly as the scalar path recomputes.
+            let (l, r) = if swap { (right, left) } else { (left, right) };
+            stage_input(&mut self.inputs, next as usize, sig, l, r);
+            self.miss_keys.push(key);
         }
-        self.calls += miss_keys.len() as u64;
+        let misses = self.miss_keys.len();
+        if misses == 0 {
+            return;
+        }
+        self.calls += misses as u64;
+        let inputs = &mut self.inputs[..misses];
         let model = &self.models[sig.model as usize];
         let answers: Vec<bool> = match pool {
-            Some(pool) if pool.size() > 1 && miss_inputs.len() > ORACLE_CHUNK => {
-                let tasks: Vec<_> = miss_inputs
+            Some(pool) if pool.size() > 1 && misses > ORACLE_CHUNK => {
+                let tasks: Vec<_> = inputs
                     .chunks(ORACLE_CHUNK)
                     .map(|chunk| {
                         let model = Arc::clone(model);
@@ -402,13 +513,19 @@ impl MlOracle {
                     .collect();
                 pool.run(tasks, None).into_iter().flatten().collect()
             }
-            _ => model.classify_batch(&miss_inputs),
+            _ => model.classify_batch(inputs),
         };
-        for ((key, waiters), v) in miss_keys.into_iter().zip(miss_waiters).zip(answers) {
-            self.cache.insert(key, v);
-            for i in waiters {
-                out[i] = v;
+        for (&key, &v) in self.miss_keys.iter().zip(&answers) {
+            memo.insert(key, v);
+        }
+        for (o, &miss) in out.iter_mut().zip(&self.miss_of) {
+            if miss != MEMO_HIT {
+                *o = answers[miss as usize];
             }
+        }
+        for (lv, rv) in inputs {
+            lv.clear();
+            rv.clear();
         }
     }
 
@@ -427,6 +544,12 @@ impl MlOracle {
     /// Number of cache hits.
     pub fn hits(&self) -> u64 {
         self.hits
+    }
+
+    /// Number of answers held in the memo (it only grows: entries for
+    /// deleted tuples are kept, which is the memory they cost).
+    pub fn memo_entries(&self) -> usize {
+        self.memo.iter().map(|(_, m)| m.len()).sum()
     }
 }
 
@@ -638,6 +761,73 @@ mod tests {
         assert_eq!(inline_oracle.calls(), pooled_oracle.calls());
         assert_eq!(inline_oracle.hits(), pooled_oracle.hits());
         assert_eq!(inline_oracle.calls(), 820);
+    }
+
+    /// Order-sensitive stand-in model: fires when the left side's text
+    /// sorts before the right side's.
+    struct TextBefore;
+
+    impl dcer_ml::MlModel for TextBefore {
+        fn probability(&self, left: &[Value], right: &[Value]) -> f64 {
+            f64::from(dcer_ml::values_to_text(left) < dcer_ml::values_to_text(right))
+        }
+    }
+
+    /// Multi-attribute signatures stage every attribute of each side, in
+    /// signature order and canonical orientation, through the reused input
+    /// buffers — across windows of different widths with scalar probes in
+    /// between.
+    #[test]
+    fn batch_stages_multi_attribute_sides() {
+        let (cat, _) = setup();
+        let rules = dcer_mrl::parse_rules(
+            &cat,
+            "match r1: R(t), R(s), m(t[a, b], s[a, b]) -> t.id = s.id;
+             match r2: R(t), R(s), m(t[a, b], s[b, a]) -> t.id = s.id",
+        )
+        .unwrap();
+        let table = MlSigTable::build(&rules);
+        let mut reg = MlRegistry::new();
+        reg.register("m", Arc::new(TextBefore));
+        let mut ds = Dataset::new(cat);
+        let tuples: Vec<Tuple> = [("x", "y"), ("x", "y"), ("y", "x"), ("x", "z"), ("z", "w")]
+            .iter()
+            .map(|&(a, b)| {
+                let tid = ds.insert(0, vec![a.into(), b.into()]).unwrap();
+                ds.tuple(tid).unwrap().clone()
+            })
+            .collect();
+        let pairs: Vec<(&Tuple, &Tuple)> =
+            tuples.iter().flat_map(|l| tuples.iter().map(move |r| (l, r))).collect();
+        for (right_attrs, symmetric) in [([0, 1], true), ([1, 0], false)] {
+            let sig = table.sig_id(&rules, "m", 0, &[0, 1], 0, &right_attrs).unwrap();
+            assert_eq!(table.sig(sig).is_symmetric(), symmetric);
+            let want = |l: &Tuple, r: &Tuple| {
+                let (l, r) = if symmetric && r.tid < l.tid { (r, l) } else { (l, r) };
+                let lv = [l.get(0).clone(), l.get(1).clone()];
+                let rv = right_attrs.map(|a| r.get(a).clone());
+                dcer_ml::MlModel::predict(&TextBefore, &lv, &rv)
+            };
+            let mut oracle = MlOracle::new(&rules, &reg).unwrap();
+            let mut got = Vec::new();
+            let (mut at, mut probes) = (0, 0);
+            for width in [3, 11, pairs.len()] {
+                let window = &pairs[at..(at + width).min(pairs.len())];
+                oracle.predict_batch(&table, sig, window, 0, None, &mut got);
+                let expect: Vec<bool> = window.iter().map(|&(l, r)| want(l, r)).collect();
+                assert_eq!(got, expect, "window at {at}, width {width}");
+                let (l, r) = pairs[at];
+                assert_eq!(oracle.predict(&table, sig, r, l, 0), want(r, l));
+                probes += window.len() as u64 + 1;
+                at += window.len();
+            }
+            assert!(got.contains(&true) && got.contains(&false));
+            // One call per distinct canonical pair: 15 unordered pairs
+            // (diagonal included) when symmetric, 25 ordered ones if not.
+            assert_eq!(oracle.calls(), if symmetric { 15 } else { 25 });
+            assert_eq!(oracle.calls() + oracle.hits(), probes);
+            assert_eq!(oracle.memo_entries() as u64, oracle.calls());
+        }
     }
 
     /// The oracle itself is waitability-agnostic: a waitable signature

@@ -135,7 +135,9 @@ impl DcerSession {
     /// epoch-0 snapshot and hand the session to a dedicated writer thread
     /// that drains admitted CDC batches — the serving extension of
     /// [`DcerSession::update_session`]. Readers query the returned
-    /// [`crate::serve::ResidentResolver`] concurrently and lock-free.
+    /// [`crate::serve::ResidentResolver`] concurrently; each read clones
+    /// the current snapshot's `Arc` out of a ring of 8 `Mutex<Arc<_>>`
+    /// slots, so it never waits for an in-flight admit.
     pub fn resident(
         &self,
         dataset: &Dataset,

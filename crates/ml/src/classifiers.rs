@@ -3,7 +3,7 @@
 use crate::embed::HashedNgramEmbedder;
 use crate::features::{pair_features, pair_features_cached, FeatureSide};
 use crate::logistic::LogisticRegression;
-use crate::model::{values_to_text, MlModel};
+use crate::model::{values_text, values_to_text, MlModel};
 use dcer_relation::Value;
 use dcer_similarity::{ngram_cosine, profile_cosine, NgramProfile};
 use std::collections::HashMap;
@@ -220,6 +220,14 @@ impl MlModel for JaroWinklerClassifier {
 /// Thresholded normalized Levenshtein similarity — the right metric for
 /// code-like strings (license plates, product codes) where a typo can
 /// destroy token structure.
+///
+/// [`MlModel::predict`] never computes the full similarity: it borrows
+/// single-string sides instead of rendering them and decides through
+/// [`dcer_similarity::levenshtein_similarity_at_least`], which runs the
+/// allocation-free [`dcer_similarity::levenshtein_bounded`] only within
+/// the threshold's edit budget `⌊(1−θ)·max⌋ + 1` and judges a distance
+/// inside it by the similarity's own float expression — so decisions are
+/// exactly `levenshtein_similarity(a, b) >= θ`.
 #[derive(Debug, Clone)]
 pub struct LevenshteinClassifier {
     threshold: f64,
@@ -234,10 +242,17 @@ impl LevenshteinClassifier {
 
 impl MlModel for LevenshteinClassifier {
     fn probability(&self, left: &[Value], right: &[Value]) -> f64 {
-        dcer_similarity::levenshtein_similarity(&values_to_text(left), &values_to_text(right))
+        dcer_similarity::levenshtein_similarity(&values_text(left), &values_text(right))
     }
     fn threshold(&self) -> f64 {
         self.threshold
+    }
+    fn predict(&self, left: &[Value], right: &[Value]) -> bool {
+        dcer_similarity::levenshtein_similarity_at_least(
+            &values_text(left),
+            &values_text(right),
+            self.threshold,
+        )
     }
     fn cost_hint(&self) -> f64 {
         4.0
@@ -323,6 +338,9 @@ impl<M: MlModel> MlModel for ThresholdClassifier<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcer_similarity::levenshtein_similarity;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     fn v(s: &str) -> Vec<Value> {
         vec![Value::str(s)]
@@ -418,6 +436,94 @@ mod tests {
             for ((l, r), got) in pairs.iter().zip(&batch) {
                 assert_eq!(*got, m.predict(l, r), "{}: {l:?} vs {r:?}", m.describe());
             }
+        }
+    }
+
+    /// One side of a Levenshtein probe: zero to three values mixing `Null`,
+    /// `Int`, short ASCII, non-ASCII and over-64-byte strings.
+    fn any_side(rng: &mut TestRng) -> Vec<Value> {
+        let n = [0, 1, 1, 1, 2, 3][rng.below(6)];
+        (0..n)
+            .map(|_| match rng.below(6) {
+                0 => Value::Null,
+                1 => Value::Int(rng.below(2000) as i64 - 1000),
+                2 => Value::str("[AB0-9 ]{0,10}".generate(rng)),
+                3 => Value::str("[aé日 ü]{0,12}".generate(rng)),
+                4 => Value::str("[ab]{60,80}".generate(rng)),
+                _ => Value::str("[a-zA-Z0-9 ,.'-]{0,24}".generate(rng)),
+            })
+            .collect()
+    }
+
+    /// Probe pairs near the thresholds: half the right sides are the left
+    /// side with a few random char edits, half are drawn independently.
+    struct NearPair;
+
+    impl Strategy for NearPair {
+        type Value = (Vec<Value>, Vec<Value>);
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let left = any_side(rng);
+            if rng.below(2) == 0 {
+                return (left, any_side(rng));
+            }
+            let right = left
+                .iter()
+                .map(|v| {
+                    let Some(s) = v.as_str() else { return v.clone() };
+                    let mut chars: Vec<char> = s.chars().collect();
+                    for _ in 0..rng.below(4) {
+                        let at = rng.below(chars.len() + 1);
+                        match (rng.below(3), at < chars.len()) {
+                            (1, true) => {
+                                chars.remove(at);
+                            }
+                            (2, true) => chars[at] = 'é',
+                            _ => chars.insert(at, 'x'),
+                        }
+                    }
+                    Value::str(chars.into_iter().collect::<String>())
+                })
+                .collect();
+            (left, right)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The bounded, allocation-free decision is exactly the threshold
+        /// test on the full similarity.
+        #[test]
+        fn levenshtein_predict_equals_similarity_threshold(pair in NearPair) {
+            let (l, r) = pair;
+            let sim = levenshtein_similarity(&values_to_text(&l), &values_to_text(&r));
+            for theta in [0.0, 0.3, 0.7, 0.88, 1.0] {
+                let c = LevenshteinClassifier::new(theta);
+                prop_assert_eq!(c.predict(&l, &r), sim >= theta, "theta {} sim {}", theta, sim);
+                prop_assert_eq!(c.predict(&r, &l), sim >= theta, "flipped, theta {}", theta);
+            }
+        }
+    }
+
+    /// Distances whose similarity lands exactly on θ are accepted, as
+    /// `levenshtein_similarity(a, b) >= θ` accepts them — including
+    /// θ = 0.9 at max 10, where `⌊(1−θ)·max⌋` rounds down to 0 and only
+    /// the edit of slack keeps the distance-1 pair in budget — and one
+    /// more edit is rejected.
+    #[test]
+    fn levenshtein_boundary_lands_on_threshold() {
+        let cases = [
+            (0.7, "ABCDEFGHIJ", "ABCDEFGxyz", true),
+            (0.7, "ABCDEFGHIJ", "ABCDEFwxyz", false),
+            (0.7, "ABCDEFGHIJKLMNOPQRST", "ABCDEFGHIJKLMNxyzuvw", true),
+            (0.7, "ABCDEFGHIJKLMNOPQRST", "ABCDEFGHIJKLMtxyzuvw", false),
+            (0.9, "ABCDEFGHIJ", "ABCDEFGHIx", true),
+            (0.9, "ABCDEFGHIJ", "ABCDEFGHwx", false),
+        ];
+        for (theta, a, b, want) in cases {
+            let sim = levenshtein_similarity(a, b);
+            assert_eq!(sim >= theta, want, "{a} vs {b}: {sim}");
+            assert_eq!(LevenshteinClassifier::new(theta).predict(&v(a), &v(b)), want);
         }
     }
 

@@ -1,6 +1,7 @@
 //! The [`MlModel`] trait: the contract every embedded ML predicate satisfies.
 
 use dcer_relation::Value;
+use std::borrow::Cow;
 
 /// A binary ML classifier usable as an MRL predicate `M(t[Ā], s[B̄])`.
 ///
@@ -63,6 +64,17 @@ pub fn values_to_text(values: &[Value]) -> String {
     out
 }
 
+/// [`values_to_text`] without the allocation for the common one-string
+/// side: a single `Str` (or `Null`, or no value) is borrowed as is; any
+/// other side is rendered.
+pub(crate) fn values_text(values: &[Value]) -> Cow<'_, str> {
+    match values {
+        [] | [Value::Null] => Cow::Borrowed(""),
+        [Value::Str(s)] => Cow::Borrowed(s),
+        _ => Cow::Owned(values_to_text(values)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,5 +107,21 @@ mod tests {
         let vs = vec![Value::str("ThinkPad"), Value::Int(2000), Value::Null];
         assert_eq!(values_to_text(&vs), "ThinkPad 2000 ");
         assert_eq!(values_to_text(&[]), "");
+    }
+
+    #[test]
+    fn values_text_borrows_single_strings_and_renders_the_rest() {
+        let sides: [(&[Value], bool); 5] = [
+            (&[], true),
+            (&[Value::Null], true),
+            (&[Value::str("plate")], true),
+            (&[Value::Int(7)], false),
+            (&[Value::str("a"), Value::Null, Value::Float(1.5)], false),
+        ];
+        for (side, borrowed) in sides {
+            let text = values_text(side);
+            assert_eq!(text, values_to_text(side));
+            assert_eq!(matches!(text, Cow::Borrowed(_)), borrowed, "{side:?}");
+        }
     }
 }

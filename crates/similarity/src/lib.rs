@@ -16,7 +16,10 @@ pub mod ngram;
 pub mod phonetic;
 pub mod token;
 
-pub use edit::{damerau_levenshtein, levenshtein, levenshtein_bounded, levenshtein_similarity};
+pub use edit::{
+    damerau_levenshtein, levenshtein, levenshtein_bounded, levenshtein_similarity,
+    levenshtein_similarity_at_least,
+};
 pub use jaro::{jaro, jaro_winkler};
 pub use ngram::{
     ngram_cosine, ngram_jaccard, ngrams, profile_cosine, profile_jaccard, NgramProfile,

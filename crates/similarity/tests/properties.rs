@@ -3,9 +3,27 @@
 
 use dcer_similarity::*;
 use proptest::prelude::*;
+use proptest::TestRng;
 
-fn any_word() -> impl Strategy<Value = String> {
-    "[a-zA-Z0-9 ,.'-]{0,24}"
+/// Words from three alphabets, so the bounded edit distance runs both its
+/// bit-parallel pass (at most 64 scalars) and its DP fallback (longer):
+/// short ASCII, short text with non-ASCII scalars, and long
+/// low-entropy ASCII whose pairs stay within small edit distances.
+struct AnyWord;
+
+impl Strategy for AnyWord {
+    type Value = String;
+    fn generate(&self, rng: &mut TestRng) -> String {
+        match rng.below(4) {
+            0 | 1 => "[a-zA-Z0-9 ,.'-]{0,24}".generate(rng),
+            2 => "[abcéü日本 ]{0,20}".generate(rng),
+            _ => "[ab]{56,90}".generate(rng),
+        }
+    }
+}
+
+fn any_word() -> AnyWord {
+    AnyWord
 }
 
 proptest! {
@@ -23,7 +41,7 @@ proptest! {
     }
 
     #[test]
-    fn bounded_levenshtein_agrees_with_exact(a in any_word(), b in any_word(), k in 0usize..12) {
+    fn bounded_levenshtein_agrees_with_exact(a in any_word(), b in any_word(), k in 0usize..40) {
         let exact = levenshtein(&a, &b);
         match levenshtein_bounded(&a, &b, k) {
             Some(d) => { prop_assert_eq!(d, exact); prop_assert!(d <= k); }
