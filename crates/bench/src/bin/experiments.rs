@@ -601,8 +601,8 @@ fn trace_run(scale: f64, workers: usize) {
 }
 
 /// Causal-profile harness: one DMatch run on TPCH with *threaded*
-/// executors (real OS threads, real barriers) under a live collector; the
-/// pipeline builds a [`dcer_obs::RunProfile`] from the span/flow graph and
+/// executors (real OS threads, real barriers) under a live collector;
+/// `run_parallel` builds a [`dcer_obs::RunProfile`] from the span/flow graph and
 /// this writes it to `results/profile.json`, prints the makespan
 /// decomposition, per-worker utilization, straggler indices and the top-10
 /// critical-path spans, and asserts the two profile invariants CI relies

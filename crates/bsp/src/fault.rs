@@ -320,7 +320,7 @@ pub struct FaultConfig {
     /// every exchange).
     pub checkpoint_interval: u64,
     /// Retransmissions allowed per dropped message before the run aborts
-    /// (and the pipeline degrades to a fault-free rerun).
+    /// (and the driving session degrades to a fault-free rerun).
     pub max_retries: u32,
     /// Base retransmission backoff in supersteps; the r-th retry waits
     /// `base << r` steps (exponential).

@@ -158,11 +158,11 @@ struct DeltaEvent {
 /// must run for the changes staged so far.
 #[derive(Debug)]
 enum Dirty {
-    /// A retraction cascade dropped facts: the surviving dependency store
-    /// and delta queue can reference antecedents that no longer hold, so
-    /// both are discarded and a full `Deduce` round re-enumerates (already
-    /// known facts are absorbed as cheap no-ops; only facts with surviving
-    /// alternative support come back).
+    /// A new engine, or a retraction cascade dropped facts: the surviving
+    /// dependency store and delta queue can reference antecedents that no
+    /// longer hold, so both are discarded and a full `Deduce` round
+    /// re-enumerates (already known facts are absorbed as cheap no-ops;
+    /// only facts with surviving alternative support come back).
     Full,
     /// Only inserts happened: seed rule re-evaluation on the new rows.
     Seeds(Vec<(RelId, u32)>),
@@ -262,7 +262,7 @@ impl ChaseEngine {
             deps: DepStore::new(config.dep_capacity),
             oracle,
             log: SupportLog::new(),
-            dirty: Dirty::None,
+            dirty: Dirty::Full,
             pending: VecDeque::new(),
             id_pred_index,
             ml_pred_index,
@@ -390,14 +390,6 @@ impl ChaseEngine {
         s
     }
 
-    /// `Match` (Fig. 3) as a batch: `Deduce` once, then `IncDeduce` to local
-    /// fixpoint, emitting the canonical [`DeltaBatch`] of every fact newly
-    /// deduced here. This is the partial-evaluation step `A` of the paper,
-    /// and its output is what the BSP exchange routes to peers.
-    pub fn deduce(&mut self) -> DeltaBatch {
-        DeltaBatch::new(self.run_local_fixpoint())
-    }
-
     /// `A_Δ` as a batch: absorb a batch received from peers (duplicates are
     /// counted and skipped, not re-applied), run `IncDeduce` to local
     /// fixpoint, and emit the batch of *locally* deduced new facts.
@@ -405,10 +397,12 @@ impl ChaseEngine {
         DeltaBatch::new(self.apply_delta(received.as_slice()))
     }
 
-    /// Vec-level form of [`ChaseEngine::deduce`]: `Deduce` once, then
-    /// `IncDeduce` to local fixpoint. Returns every fact newly deduced here
-    /// in deduction order.
+    /// `Match` (Fig. 3): `Deduce` once, then `IncDeduce` to local fixpoint.
+    /// Returns every fact newly deduced here in deduction order — the
+    /// partial-evaluation step `A` of the paper. A full round covers every
+    /// staged change.
     pub fn run_local_fixpoint(&mut self) -> Vec<Fact> {
+        self.dirty = Dirty::None;
         let mut out = Vec::new();
         {
             let _deduce = dcer_obs::span("chase.deduce");
@@ -466,7 +460,6 @@ impl ChaseEngine {
         self.state = ChaseState::new();
         self.deps.reset();
         self.log.clear();
-        self.dirty = Dirty::None;
         self.pending.clear();
         let mut out = self.run_local_fixpoint();
         out.extend(self.apply_delta(checkpoint));
@@ -764,16 +757,15 @@ impl ChaseEngine {
     /// rounds. After a retraction cascade the dependency store and delta
     /// queue may reference antecedents that no longer hold, so both are
     /// discarded and one full `Deduce` round re-enumerates (facts still in
-    /// `Γ` absorb as no-ops; `H` is repopulated).
+    /// `Γ` absorb as no-ops; `H` is repopulated). A new engine starts fully
+    /// dirty, so its first call is [`ChaseEngine::run_local_fixpoint`].
     pub fn update_fixpoint(&mut self) -> Vec<Fact> {
         let mut out = Vec::new();
         match std::mem::replace(&mut self.dirty, Dirty::None) {
             Dirty::Full => {
-                let _span = dcer_obs::span("chase.rederive");
                 self.deps.reset();
                 self.pending.clear();
-                self.deduce_round(&mut out);
-                self.incdeduce_loop(&mut out);
+                return self.run_local_fixpoint();
             }
             Dirty::Seeds(rows) => {
                 let _span = dcer_obs::span("chase.seeded_update");

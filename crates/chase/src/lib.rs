@@ -24,8 +24,9 @@
 //! `chase_eval` bench baseline.
 //!
 //! The engine doubles as the per-worker algorithm of the parallel `DMatch`:
-//! `A` is [`ChaseEngine::deduce`] and `A_Δ` is [`ChaseEngine::incdeduce`],
-//! both speaking [`DeltaBatch`] — the immutable, sorted, `Arc`-backed unit
+//! `A` is [`ChaseEngine::update_fixpoint`] (on a new engine, the full
+//! [`ChaseEngine::run_local_fixpoint`]) and `A_Δ` is
+//! [`ChaseEngine::incdeduce`], exchanging [`DeltaBatch`]es — the immutable, sorted, `Arc`-backed unit
 //! of fact exchange that the BSP runtime routes between workers without
 //! deep-copying facts.
 

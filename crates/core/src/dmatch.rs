@@ -1,42 +1,37 @@
-//! `DMatch`: the parallel executor as a configuration of the unified
-//! [pipeline](crate::pipeline) — HyPart partition, per-shard `Deduce`,
-//! broadcast exchange of [`dcer_chase::DeltaBatch`]es, `IncDeduce` to
-//! global quiescence.
+//! `DMatch`: the parallel algorithm as one cold boot of an
+//! [`UpdateSession`] — HyPart partition, per-shard `Deduce`, broadcast
+//! exchange of [`dcer_chase::DeltaBatch`]es, `IncDeduce` to global
+//! quiescence.
 
-use crate::pipeline::{run_pipeline, ExecutorKind, PipelineConfig, PipelineReport};
-use dcer_bsp::{BspStats, CostModel, ExecutionMode, FaultConfig};
+use crate::update::UpdateSession;
+use dcer_bsp::{BspStats, ExecutionMode, FaultConfig};
 use dcer_chase::{BatchStats, ChaseConfig, ChaseOutcome, ChaseStats};
 use dcer_hypart::PartitionStats;
 use dcer_ml::MlRegistry;
 use dcer_mrl::RuleSet;
 use dcer_relation::Dataset;
+use std::time::Instant;
 
 /// Configuration for a `DMatch` run.
 #[derive(Debug, Clone)]
 pub struct DmatchConfig {
-    /// Number of workers `n`.
+    /// Number of workers `n` (at least one).
     pub workers: usize,
     /// Threaded or simulated execution.
     pub execution: ExecutionMode,
-    /// Use MQO hash sharing in HyPart (`false` = the `DMatch_noMQO`
-    /// baseline of the paper's evaluation).
+    /// Use MQO hash sharing in HyPart and ML-result sharing across rules
+    /// (`false` = the `DMatch_noMQO` baseline of the paper's evaluation).
     pub use_mqo: bool,
     /// Per-worker chase configuration.
     pub chase: ChaseConfig,
-    /// Communication cost model for the simulated cluster.
-    pub cost: CostModel,
     /// Virtual-block factor for HyPart (default `workers`, i.e. `n²` cells).
     pub virtual_factor: Option<usize>,
     /// Fault-tolerance configuration: superstep checkpointing, injected
     /// faults, retry policy. Inactive (zero-overhead) by default.
     pub faults: FaultConfig,
-    /// Thread count for every parallel region (HyPart scan, fleet build,
-    /// threaded BSP workers); `0` = one per available core. Never changes
-    /// results.
-    pub threads: usize,
-    /// Shared work-stealing pool to run all of those regions on; `None`
-    /// (default) creates a transient pool per run. Its size supersedes
-    /// `threads` when set. See [`PipelineConfig::pool`].
+    /// Shared work-stealing pool for every parallel region (HyPart scan,
+    /// fleet build, threaded BSP workers); `None` (default) creates one
+    /// with a lane per available core. Never changes results.
     pub pool: Option<std::sync::Arc<dcer_pool::WorkPool>>,
 }
 
@@ -48,10 +43,8 @@ impl DmatchConfig {
             execution: ExecutionMode::Simulated,
             use_mqo: true,
             chase: ChaseConfig::default(),
-            cost: CostModel::default(),
             virtual_factor: None,
             faults: FaultConfig::none(),
-            threads: 0,
             pool: None,
         }
     }
@@ -67,22 +60,6 @@ impl DmatchConfig {
     pub fn with_faults(mut self, faults: FaultConfig) -> DmatchConfig {
         self.faults = faults;
         self
-    }
-
-    /// The equivalent pipeline configuration.
-    pub fn pipeline(&self) -> PipelineConfig {
-        PipelineConfig {
-            executor: ExecutorKind::Parallel,
-            workers: self.workers,
-            execution: self.execution,
-            use_mqo: self.use_mqo,
-            chase: self.chase.clone(),
-            cost: self.cost,
-            virtual_factor: self.virtual_factor,
-            faults: self.faults.clone(),
-            threads: self.threads,
-            pool: self.pool.clone(),
-        }
     }
 }
 
@@ -110,44 +87,64 @@ pub struct DmatchReport {
     /// Fault-free reruns forced by exhausted delivery retries (graceful
     /// degradation); `0` on every run that recovered in place.
     pub fault_reruns: u32,
-    /// Causal profile of the run (see [`PipelineReport::profile`]).
+    /// Causal profile of the run — makespan decomposition, per-worker
+    /// utilization, straggler indices and the critical path — built from
+    /// the installed [`dcer_obs::InMemoryCollector`]'s span graph. `None`
+    /// unless tracing into a collector is enabled for the run. Covers
+    /// everything the collector has seen since install, so install a fresh
+    /// collector per run for a per-run profile.
     pub profile: Option<dcer_obs::RunProfile>,
 }
 
-impl From<PipelineReport> for DmatchReport {
-    fn from(r: PipelineReport) -> DmatchReport {
-        DmatchReport {
-            outcome: r.outcome,
-            partition: r.partition.expect("parallel pipeline always partitions"),
-            bsp: r.bsp,
-            worker_stats: r.worker_stats,
-            batch: r.batch,
-            partition_secs: r.partition_secs,
-            er_secs: r.er_secs,
-            simulated_er_secs: r.simulated_er_secs,
-            fault_reruns: r.fault_reruns,
-            profile: r.profile,
-        }
-    }
-}
-
-/// Run `DMatch` end to end: HyPart partition, then the batched BSP
-/// fixpoint, all through the unified pipeline.
+/// Run `DMatch` end to end: boot an [`UpdateSession`] (HyPart partition,
+/// fleet build, the batched BSP fixpoint) and report its boot run.
 pub fn run_dmatch(
     dataset: &Dataset,
     rules: &RuleSet,
     registry: &MlRegistry,
     config: &DmatchConfig,
 ) -> Result<DmatchReport, String> {
-    run_pipeline(dataset, rules, registry, &config.pipeline()).map(DmatchReport::from)
+    let started = Instant::now();
+    let (session, boot) =
+        UpdateSession::boot(dataset, rules.clone(), registry.clone(), config.clone())?;
+    let worker_stats: Vec<ChaseStats> = session.engines().iter().map(|e| e.stats()).collect();
+    let mut stats = ChaseStats::default();
+    for (i, ws) in worker_stats.iter().enumerate() {
+        stats.add(ws);
+        ws.publish(Some(i as u32));
+    }
+    stats.publish(None);
+    boot.batch.publish();
+    dcer_obs::gauge_set("pipeline.partition_secs", boot.partition_secs);
+    dcer_obs::gauge_set("pipeline.er_secs", boot.er_secs);
+    dcer_obs::gauge_set("pipeline.simulated_er_secs", boot.bsp.makespan_secs);
+    let fault_reruns = session.fault_reruns();
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    // Broadcast exchange: every replica holds the global Γ.
+    let state = session.into_state();
+    Ok(DmatchReport {
+        outcome: ChaseOutcome { matches: state.matches, validated: state.validated, stats },
+        partition: boot.partition,
+        simulated_er_secs: boot.bsp.makespan_secs,
+        bsp: boot.bsp,
+        worker_stats,
+        batch: boot.batch,
+        partition_secs: boot.partition_secs,
+        er_secs: boot.er_secs,
+        fault_reruns,
+        profile: dcer_obs::with_collector(|c| dcer_obs::RunProfile::build(c, wall_ns)),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DcerSession;
+    use dcer_bsp::FaultPlan;
     use dcer_chase::{run_match, Fact};
     use dcer_ml::{EqualTextClassifier, NgramCosineClassifier};
     use dcer_relation::{Catalog, RelationSchema, ValueType};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn catalog() -> Arc<Catalog> {
@@ -274,5 +271,119 @@ mod tests {
         let d = dataset(24);
         let report = run_dmatch(&d, &rules(), &registry(), &DmatchConfig::new(4)).unwrap();
         assert!(report.bsp.bytes <= report.bsp.messages * Fact::ML_WIRE_BYTES as u64);
+    }
+
+    /// A one-relation fixture with key, recursive and ML-validated rules,
+    /// small enough for the naive chase.
+    fn small() -> (DcerSession, Dataset) {
+        let catalog = Arc::new(
+            Catalog::from_schemas(vec![RelationSchema::of(
+                "R",
+                &[("k", ValueType::Str), ("x", ValueType::Str)],
+            )])
+            .unwrap(),
+        );
+        let mut reg = MlRegistry::new();
+        reg.register("m", Arc::new(EqualTextClassifier));
+        let session = DcerSession::from_source(
+            catalog.clone(),
+            "match md: R(t), R(s), t.k = s.k -> t.id = s.id;
+             match deep: R(t), R(s), R(u), t.id = s.id, s.x = u.x -> t.id = u.id;
+             match val: R(t), R(s), t.x = s.x -> m(t.k, s.k);
+             match use: R(t), R(s), m(t.k, s.k) -> t.id = s.id",
+            reg,
+        )
+        .unwrap();
+        let mut data = Dataset::new(catalog);
+        for (k, x) in
+            [("a", "1"), ("a", "2"), ("b", "2"), ("b", "3"), ("c", "9"), ("d", "9"), ("e", "7")]
+        {
+            data.insert(0, vec![k.into(), x.into()]).unwrap();
+        }
+        (session, data)
+    }
+
+    fn run(s: &DcerSession, data: &Dataset, cfg: &DmatchConfig) -> DmatchReport {
+        run_dmatch(data, s.rules(), s.registry(), cfg).unwrap()
+    }
+
+    /// Sequential `Match`, the naive chase and `DMatch` at several worker
+    /// counts produce identical match sets and validated predictions.
+    #[test]
+    fn executors_agree_through_one_code_path() {
+        let (s, data) = small();
+        let mut baseline = s.run_sequential(&data);
+        let clusters = baseline.matches.clusters();
+        let ml: BTreeSet<Fact> = baseline.validated.iter().copied().collect();
+        assert!(!clusters.is_empty());
+
+        let mut naive = s.run_naive(&data).unwrap();
+        assert_eq!(naive.matches.clusters(), clusters);
+        assert_eq!(naive.validated.iter().copied().collect::<BTreeSet<_>>(), ml);
+
+        for workers in [2, 3, 5] {
+            let mut par = run(&s, &data, &DmatchConfig::new(workers));
+            assert_eq!(par.outcome.matches.clusters(), clusters, "workers={workers}");
+            assert_eq!(
+                par.outcome.validated.iter().copied().collect::<BTreeSet<_>>(),
+                ml,
+                "workers={workers}"
+            );
+            assert_eq!(par.partition.workers, workers);
+        }
+    }
+
+    #[test]
+    fn parallel_exchange_moves_batches_not_copies() {
+        let (s, data) = small();
+        let report = run(&s, &data, &DmatchConfig::new(4));
+        assert!(report.bsp.batches > 0);
+        // Broadcast routing: every delivered batch is one of the emitted
+        // batches handed to `shards - 1` peers, so deliveries divide evenly.
+        assert_eq!(report.bsp.batches % 3, 0);
+        assert_eq!(report.bsp.shard_bytes.len(), 4);
+        assert_eq!(report.bsp.shard_bytes.iter().sum::<u64>(), report.bsp.bytes);
+    }
+
+    #[test]
+    fn crashed_shard_recovers_to_the_same_fixpoint() {
+        let (s, data) = small();
+        let clusters = s.run_sequential(&data).matches.clusters();
+        for mode in [ExecutionMode::Simulated, ExecutionMode::Threaded] {
+            let mut cfg =
+                DmatchConfig::new(3).with_faults(FaultConfig::with_plan(FaultPlan::crash(1, 1)));
+            cfg.execution = mode;
+            let mut report = run(&s, &data, &cfg);
+            assert_eq!(report.outcome.matches.clusters(), clusters, "{mode:?}");
+            assert_eq!(report.bsp.recovery.crashes, 1, "{mode:?}");
+            assert_eq!(report.bsp.recovery.recoveries, 1, "{mode:?}");
+            assert_eq!(report.fault_reruns, 0, "{mode:?}: recovery happened in place");
+            assert!(report.bsp.recovery.checkpoints > 0, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn exhausted_retries_degrade_to_a_fault_free_rerun() {
+        let (s, data) = small();
+        let clusters = s.run_sequential(&data).matches.clusters();
+        // Drop the 0->1 deposit of step 0 and every scheduled retry
+        // (backoff base 1: steps 1, 3, 7) — the run must abort and the
+        // session must fall back to a clean rerun with the same answer.
+        let plan = FaultPlan::parse("drop 0->1@0; drop 0->1@1; drop 0->1@3; drop 0->1@7").unwrap();
+        let cfg = DmatchConfig::new(2).with_faults(FaultConfig::with_plan(plan));
+        let mut report = run(&s, &data, &cfg);
+        assert_eq!(report.fault_reruns, 1, "retry exhaustion must force the rerun");
+        assert_eq!(report.outcome.matches.clusters(), clusters);
+        assert_eq!(report.bsp.recovery.dropped_batches, 4, "aborted attempt's counters kept");
+    }
+
+    #[test]
+    fn zero_workers_is_an_error_not_a_panic() {
+        let (s, data) = small();
+        let err = run_dmatch(&data, s.rules(), s.registry(), &DmatchConfig::new(0)).unwrap_err();
+        assert!(err.contains("at least one worker"), "{err}");
+        assert!(s.run_parallel(&data, &DmatchConfig::new(0)).is_err());
+        assert!(s.update_session(&data, &DmatchConfig::new(0)).is_err());
+        assert!(s.resident(&data, &DmatchConfig::new(0)).is_err());
     }
 }

@@ -1,16 +1,8 @@
-//! The unified execution pipeline: **partition → Deduce → exchange →
-//! IncDeduce fixpoint**.
-//!
-//! Every execution strategy — sequential `Match`, the naive reference
-//! chase, and the parallel `DMatch` — is one configuration of this single
-//! code path. A strategy supplies:
-//!
-//! 1. a way to build per-shard [`Deducer`]s (one engine over the whole
-//!    dataset, a precomputed naive fixpoint, or one engine per HyPart
-//!    fragment), and
-//! 2. a worker count. With one shard the exchange is trivially empty and
-//!    the BSP run quiesces after superstep 0; with `n` shards each worker
-//!    broadcasts its ΔΓ batch to every peer.
+//! The shard machinery of `DMatch`: the per-shard [`Deducer`], the
+//! [`ShardWorker`] that broadcasts its batches over the BSP exchange, and
+//! `build_fleet`, which builds one engine per HyPart fragment.
+//! [`crate::update::UpdateSession`] is the one caller: it partitions, builds
+//! the fleet and runs the exchange, for a cold resolve and for every admit.
 //!
 //! ## Zero-copy exchange
 //!
@@ -23,20 +15,15 @@
 //! `ChaseState` replica converges to the global `Γ` and the final outcome
 //! can be read off any shard.
 
-use dcer_bsp::{run_bsp_on, BspStats, CostModel, ExecutionMode, FaultConfig, Worker, WorkerId};
-use dcer_chase::{
-    naive_chase, BatchStats, ChaseConfig, ChaseEngine, ChaseOutcome, ChaseState, ChaseStats,
-    DeltaBatch,
-};
-use dcer_hypart::{partition, HyPartConfig, PartitionStats};
+use dcer_bsp::{Worker, WorkerId};
+use dcer_chase::{BatchStats, ChaseConfig, ChaseEngine, ChaseState, ChaseStats, DeltaBatch, Fact};
 use dcer_ml::MlRegistry;
 use dcer_mrl::RuleSet;
 use dcer_pool::WorkPool;
 use dcer_relation::Dataset;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// The per-shard deduction strategy the pipeline drives.
+/// The per-shard deduction step a [`ShardWorker`] drives.
 ///
 /// `deduce` is the paper's partial evaluation `A` (superstep 0) and
 /// `incdeduce` its incremental counterpart `A_Δ` (supersteps ≥ 1); both
@@ -55,47 +42,55 @@ pub trait Deducer: Send {
     fn take_state(&mut self) -> ChaseState;
 
     /// Checkpoint the deducer's durable state as one canonical batch.
-    /// `None` (the default) opts the shard out of checkpointing.
-    fn snapshot(&mut self) -> Option<DeltaBatch> {
-        None
-    }
+    fn snapshot(&mut self) -> Option<DeltaBatch>;
 
     /// Crash recovery: discard volatile state, rebuild from the immutable
     /// fragment plus `checkpoint` (the last snapshot, if any), and return
     /// everything the rebuilt shard deduces — its re-announcement to peers.
-    /// The default keeps stale state and announces nothing; deducers run
-    /// under a fault plan must override it.
-    fn recover(&mut self, _checkpoint: Option<&DeltaBatch>) -> DeltaBatch {
-        DeltaBatch::empty()
-    }
+    fn recover(&mut self, checkpoint: Option<&DeltaBatch>) -> DeltaBatch;
 }
 
-/// The standard executor: a [`ChaseEngine`] (`Deduce` + dependency-driven
-/// `IncDeduce`) over one fragment.
+/// The executor: a [`ChaseEngine`] over one fragment, plus the ledger of
+/// every fact it deduced while wrapped.
+///
+/// Superstep 0 is [`ChaseEngine::update_fixpoint`]: a new engine starts
+/// with everything dirty, so that is the full `Deduce` round, and on an
+/// admit it is the staged delta — one step for both, whose first round is
+/// a delta equal to everything.
 pub struct EngineDeducer {
     engine: ChaseEngine,
+    emitted: Vec<Fact>,
 }
 
 impl EngineDeducer {
     /// Wrap an engine.
     pub fn new(engine: ChaseEngine) -> EngineDeducer {
-        EngineDeducer { engine }
+        EngineDeducer { engine, emitted: Vec::new() }
     }
 
-    /// Unwrap the engine (the update session keeps engines resident across
-    /// exchanges instead of consuming them in one run).
-    pub fn into_engine(self) -> ChaseEngine {
-        self.engine
+    /// Unwrap the engine and every fact it emitted since
+    /// [`EngineDeducer::new`], batch by batch (the update session keeps
+    /// engines resident across exchanges and reads each admit's delta off
+    /// this ledger).
+    pub fn into_parts(self) -> (ChaseEngine, Vec<Fact>) {
+        (self.engine, self.emitted)
+    }
+
+    fn emit(&mut self, batch: DeltaBatch) -> DeltaBatch {
+        self.emitted.extend_from_slice(batch.as_slice());
+        batch
     }
 }
 
 impl Deducer for EngineDeducer {
     fn deduce(&mut self) -> DeltaBatch {
-        self.engine.deduce()
+        let batch = DeltaBatch::new(self.engine.update_fixpoint());
+        self.emit(batch)
     }
 
     fn incdeduce(&mut self, delta: &DeltaBatch) -> DeltaBatch {
-        self.engine.incdeduce(delta)
+        let batch = self.engine.incdeduce(delta);
+        self.emit(batch)
     }
 
     fn stats(&self) -> ChaseStats {
@@ -111,72 +106,9 @@ impl Deducer for EngineDeducer {
     }
 
     fn recover(&mut self, checkpoint: Option<&DeltaBatch>) -> DeltaBatch {
-        DeltaBatch::new(self.engine.recover(checkpoint.map_or(&[][..], |b| b.as_slice())))
-    }
-}
-
-/// Executor over a precomputed fixpoint (the naive reference chase):
-/// `deduce` emits the batch computed upfront; `incdeduce` only absorbs.
-/// Used single-shard, where the exchange is empty anyway.
-pub struct StaticDeducer {
-    state: ChaseState,
-    batch: DeltaBatch,
-    /// The frozen fixpoint's spanning batch, kept for crash recovery.
-    initial: DeltaBatch,
-    stats: ChaseStats,
-}
-
-impl StaticDeducer {
-    /// Freeze a chase state; the emitted batch carries the validated ML
-    /// facts plus one spanning id fact per cluster edge (enough for any
-    /// recipient's union-find to reconstruct the equivalence classes) —
-    /// the [`ChaseState::to_delta`] checkpoint encoding.
-    pub fn new(mut state: ChaseState) -> StaticDeducer {
-        let batch = state.to_delta();
-        StaticDeducer { state, initial: batch.clone(), batch, stats: ChaseStats::default() }
-    }
-}
-
-impl Deducer for StaticDeducer {
-    fn deduce(&mut self) -> DeltaBatch {
-        std::mem::take(&mut self.batch)
-    }
-
-    fn incdeduce(&mut self, delta: &DeltaBatch) -> DeltaBatch {
-        self.stats.facts_received += delta.len() as u64;
-        for &f in delta {
-            if self.state.apply(f).is_none() {
-                self.stats.facts_absorbed += 1;
-            }
-        }
-        DeltaBatch::empty()
-    }
-
-    fn stats(&self) -> ChaseStats {
-        self.stats
-    }
-
-    fn take_state(&mut self) -> ChaseState {
-        std::mem::replace(&mut self.state, ChaseState::new())
-    }
-
-    fn snapshot(&mut self) -> Option<DeltaBatch> {
-        Some(self.state.to_delta())
-    }
-
-    fn recover(&mut self, checkpoint: Option<&DeltaBatch>) -> DeltaBatch {
-        self.state = ChaseState::new();
-        let mut known = self.initial.to_vec();
-        if let Some(ckpt) = checkpoint {
-            known.extend(ckpt.iter().copied());
-        }
-        for &f in &known {
-            self.state.apply(f);
-        }
-        // Everything the rebuilt shard holds is its re-announcement; the
-        // pending `deduce` batch is superseded by it.
-        self.batch = DeltaBatch::empty();
-        self.state.to_delta()
+        let batch =
+            DeltaBatch::new(self.engine.recover(checkpoint.map_or(&[][..], |b| b.as_slice())));
+        self.emit(batch)
     }
 }
 
@@ -250,217 +182,6 @@ impl<D: Deducer> Worker for ShardWorker<D> {
     }
 }
 
-/// Which deduction strategy the pipeline runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// One [`ChaseEngine`] over the whole dataset (sequential `Match`).
-    Sequential,
-    /// The naive reference chase, precomputed and replayed through the
-    /// pipeline (test/verification use; exponential).
-    Naive,
-    /// HyPart fragments, one engine per shard, broadcast exchange
-    /// (`DMatch`).
-    Parallel,
-}
-
-/// Configuration of one pipeline run.
-#[derive(Debug, Clone)]
-pub struct PipelineConfig {
-    /// Deduction strategy.
-    pub executor: ExecutorKind,
-    /// Number of shards `n` (forced to 1 for `Sequential`/`Naive`).
-    pub workers: usize,
-    /// Threaded or simulated BSP execution.
-    pub execution: ExecutionMode,
-    /// Use MQO hash sharing in HyPart and ML-result sharing across rules
-    /// (`false` = the `DMatch_noMQO` baseline).
-    pub use_mqo: bool,
-    /// Per-shard chase configuration.
-    pub chase: ChaseConfig,
-    /// Communication cost model for the simulated cluster.
-    pub cost: CostModel,
-    /// Virtual-block factor for HyPart (default `workers`, i.e. `n²`
-    /// cells).
-    pub virtual_factor: Option<usize>,
-    /// Fault-tolerance configuration: superstep checkpointing, injected
-    /// faults, retry policy. Inactive (zero-overhead) by default.
-    pub faults: FaultConfig,
-    /// Thread count for every parallel region of the run — HyPart's
-    /// sharded distribution scan, fragment/host-table builds, engine/index
-    /// construction, and the threaded BSP workers. `0` (default) means one
-    /// per available core. Results are bit-identical at every setting;
-    /// only wall-clock changes.
-    pub threads: usize,
-    /// The shared work-stealing pool all of those regions execute on.
-    /// `None` (default) creates one transient pool of `threads` lanes per
-    /// run; sessions thread their long-lived pool through here so every
-    /// run reuses one set of worker threads. When set, the pool's size
-    /// supersedes `threads`.
-    pub pool: Option<Arc<WorkPool>>,
-}
-
-impl PipelineConfig {
-    fn with_executor(executor: ExecutorKind, workers: usize) -> PipelineConfig {
-        PipelineConfig {
-            executor,
-            workers,
-            execution: ExecutionMode::Simulated,
-            use_mqo: true,
-            chase: ChaseConfig::default(),
-            cost: CostModel::default(),
-            virtual_factor: None,
-            faults: FaultConfig::none(),
-            threads: 0,
-            pool: None,
-        }
-    }
-
-    /// Sequential `Match`: one shard, one engine.
-    pub fn sequential() -> PipelineConfig {
-        PipelineConfig::with_executor(ExecutorKind::Sequential, 1)
-    }
-
-    /// The naive reference chase through the same pipeline.
-    pub fn naive() -> PipelineConfig {
-        PipelineConfig::with_executor(ExecutorKind::Naive, 1)
-    }
-
-    /// Parallel `DMatch` over `workers` shards.
-    pub fn parallel(workers: usize) -> PipelineConfig {
-        PipelineConfig::with_executor(ExecutorKind::Parallel, workers)
-    }
-}
-
-/// The full report of a pipeline run.
-#[derive(Debug)]
-pub struct PipelineReport {
-    /// The global `Γ`: matches + validated predictions + aggregated chase
-    /// counters.
-    pub outcome: ChaseOutcome,
-    /// HyPart statistics (`None` for single-shard executors, which skip
-    /// partitioning).
-    pub partition: Option<PartitionStats>,
-    /// BSP statistics (supersteps, batches, per-shard bytes, makespan).
-    pub bsp: BspStats,
-    /// Per-shard chase statistics.
-    pub worker_stats: Vec<ChaseStats>,
-    /// Batch construction/merge counters aggregated over shards.
-    pub batch: BatchStats,
-    /// Wall time spent partitioning.
-    pub partition_secs: f64,
-    /// Wall time of the deduce/exchange phase.
-    pub er_secs: f64,
-    /// Simulated parallel ER time (partitioning excluded), i.e. the
-    /// makespan a real `n`-worker cluster would see.
-    pub simulated_er_secs: f64,
-    /// Fault-free reruns forced by exhausted delivery retries (graceful
-    /// degradation); `0` on every run that recovered in place.
-    pub fault_reruns: u32,
-    /// Causal profile of the run — makespan decomposition, per-worker
-    /// utilization, straggler indices and the critical path — built from
-    /// the installed [`dcer_obs::InMemoryCollector`]'s span graph. `None`
-    /// unless tracing into a collector is enabled for the run. Covers
-    /// everything the collector has seen since install, so install a fresh
-    /// collector per run for a per-run profile.
-    pub profile: Option<dcer_obs::RunProfile>,
-}
-
-/// Run the unified pipeline: build the configured shards, then drive them
-/// to global quiescence over the BSP exchange.
-pub fn run_pipeline(
-    dataset: &Dataset,
-    rules: &RuleSet,
-    registry: &MlRegistry,
-    config: &PipelineConfig,
-) -> Result<PipelineReport, String> {
-    // One work-stealing pool for the whole run: the session's long-lived
-    // pool when the config carries one, a transient pool otherwise. Every
-    // parallel region below — the HyPart scan/merge/assemble, index and
-    // fleet builds, the threaded BSP workers — executes on it.
-    let pool = match &config.pool {
-        Some(p) => Arc::clone(p),
-        None => Arc::new(WorkPool::new(effective_threads(config.threads))),
-    };
-    match config.executor {
-        ExecutorKind::Sequential => {
-            let started = Instant::now();
-            let build = || -> Result<Vec<EngineDeducer>, String> {
-                let mut engine = ChaseEngine::new(dataset.clone(), rules, registry, &config.chase)?;
-                // A single engine parallelizes *within* its index build and
-                // its batched oracle scoring.
-                engine.set_pool(Arc::clone(&pool));
-                engine.prebuild_indexes_on(&pool);
-                Ok(vec![EngineDeducer::new(engine)])
-            };
-            drive(build()?, Some(&build), None, 0.0, config, started, &pool)
-        }
-        ExecutorKind::Naive => {
-            let started = Instant::now();
-            let state = naive_chase(dataset, rules, registry)?;
-            let build = || -> Result<Vec<StaticDeducer>, String> {
-                Ok(vec![StaticDeducer::new(state.clone())])
-            };
-            drive(build()?, Some(&build), None, 0.0, config, started, &pool)
-        }
-        ExecutorKind::Parallel => {
-            let t0 = Instant::now();
-            let mut hp = HyPartConfig::new(config.workers);
-            hp.use_mqo = config.use_mqo;
-            hp.threads = pool.size();
-            hp.pool = Some(Arc::clone(&pool));
-            if let Some(v) = config.virtual_factor {
-                hp.virtual_factor = v;
-            }
-            let part = {
-                let _span = dcer_obs::span("partition").with_arg("workers", config.workers as u64);
-                partition(dataset, rules, &hp)
-            };
-            let partition_secs = t0.elapsed().as_secs_f64();
-
-            // MQO also shares ML classifier results across rules with the
-            // same predicate signature; the noMQO baseline pays per rule.
-            let mut chase_cfg = config.chase.clone();
-            chase_cfg.share_ml_across_rules = config.use_mqo;
-            let rule_masks: Vec<Arc<_>> = part.rule_masks.into_iter().map(Arc::new).collect();
-            if config.faults.active() {
-                // Degradation to a fault-free rerun must be able to rebuild
-                // the fleet, so fragments stay owned here and each build
-                // clones them. Fault-free runs below keep the move.
-                let fragments = part.fragments;
-                let build = || -> Result<Vec<EngineDeducer>, String> {
-                    build_fleet(
-                        fragments.iter().cloned().zip(rule_masks.iter().cloned()).collect(),
-                        rules,
-                        registry,
-                        &chase_cfg,
-                        &pool,
-                    )
-                };
-                drive(build()?, Some(&build), Some(part.stats), partition_secs, config, t0, &pool)
-            } else {
-                let deducers = build_fleet(
-                    part.fragments.into_iter().zip(rule_masks).collect(),
-                    rules,
-                    registry,
-                    &chase_cfg,
-                    &pool,
-                )?;
-                drive(deducers, None, Some(part.stats), partition_secs, config, t0, &pool)
-            }
-        }
-    }
-}
-
-/// Resolved pre-BSP thread count: the configured value, or one per
-/// available core.
-fn effective_threads(configured: usize) -> usize {
-    if configured > 0 {
-        configured
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-}
-
 /// Build the per-fragment engine fleet — rule compilation, index
 /// construction, ML-oracle binding — as one weighted batch on the shared
 /// pool. Engines come out in fragment order and each eagerly prebuilds its
@@ -472,7 +193,7 @@ pub(crate) fn build_fleet(
     registry: &MlRegistry,
     chase_cfg: &ChaseConfig,
     pool: &Arc<WorkPool>,
-) -> Result<Vec<EngineDeducer>, String> {
+) -> Result<Vec<ChaseEngine>, String> {
     let _span = dcer_obs::span("pipeline.build_fleet").with_arg("shards", shards.len() as u64);
     // Scope each rule to the tuples HyPart distributed for it: the rule's
     // own distribution covers all its valuations (Lemma 6), so skipping
@@ -485,245 +206,12 @@ pub(crate) fn build_fleet(
         // so this does not perturb determinism.
         engine.set_pool(Arc::clone(pool));
         engine.prebuild_indexes(1);
-        Ok(EngineDeducer::new(engine))
+        Ok(engine)
     };
     // Engine-build time is dominated by index construction, linear in the
     // fragment — so fragment size is the batch's cost model.
     let weights: Vec<u64> = shards.iter().map(|(frag, _)| frag.total_tuples() as u64).collect();
-    let built: Vec<Result<EngineDeducer, String>> =
+    let built: Vec<Result<ChaseEngine, String>> =
         pool.run(shards.into_iter().map(|pair| move || unit(pair)).collect(), Some(&weights));
     built.into_iter().collect()
-}
-
-/// The strategy-independent half of the pipeline: wrap each deducer in a
-/// [`ShardWorker`], run the BSP exchange to quiescence, fold the outcome.
-/// When the fault layer aborts (delivery retries exhausted), degrade
-/// gracefully: rebuild the fleet via `rebuild` and rerun fault-free; the
-/// report then carries `fault_reruns = 1` and the aborted attempt's
-/// recovery counters.
-fn drive<D: Deducer>(
-    deducers: Vec<D>,
-    rebuild: Option<&dyn Fn() -> Result<Vec<D>, String>>,
-    partition: Option<PartitionStats>,
-    partition_secs: f64,
-    config: &PipelineConfig,
-    started: Instant,
-    pool: &WorkPool,
-) -> Result<PipelineReport, String> {
-    let n = deducers.len();
-    let wrap = |ds: Vec<D>| -> Vec<ShardWorker<D>> {
-        ds.into_iter().enumerate().map(|(i, d)| ShardWorker::new(i, n, d)).collect()
-    };
-
-    let t0 = Instant::now();
-    let mut fault_reruns = 0u32;
-    let (mut shards, bsp) = {
-        let _span = dcer_obs::span("pipeline.er").with_arg("shards", n as u64);
-        match run_bsp_on(pool, wrap(deducers), config.execution, &config.cost, &config.faults) {
-            Ok(run) => run,
-            Err(abort) => {
-                let rebuild = rebuild.ok_or_else(|| {
-                    format!("BSP run aborted and no rebuild path exists: {}", abort.reason)
-                })?;
-                dcer_obs::instant("bsp.recovery.degraded_rerun");
-                dcer_obs::counter_add("bsp.recovery.degraded_reruns", 1);
-                fault_reruns = 1;
-                let (shards, mut bsp) = match run_bsp_on(
-                    pool,
-                    wrap(rebuild()?),
-                    config.execution,
-                    &config.cost,
-                    &FaultConfig::none(),
-                ) {
-                    Ok(run) => run,
-                    Err(_) => unreachable!("an inactive FaultConfig never aborts"),
-                };
-                // The clean rerun has nothing to recover; surface what the
-                // fault layer did on the aborted attempt instead.
-                bsp.recovery = abort.stats.recovery;
-                (shards, bsp)
-            }
-        }
-    };
-    let er_secs = t0.elapsed().as_secs_f64();
-
-    let worker_stats: Vec<ChaseStats> = shards.iter().map(|s| s.deducer.stats()).collect();
-    let mut stats = ChaseStats::default();
-    for (i, ws) in worker_stats.iter().enumerate() {
-        stats.add(ws);
-        ws.publish(Some(i as u32));
-    }
-    stats.publish(None);
-    let mut batch = BatchStats::default();
-    for s in &shards {
-        batch.add(&s.batch_stats);
-    }
-    batch.publish();
-    dcer_obs::gauge_set("pipeline.partition_secs", partition_secs);
-    dcer_obs::gauge_set("pipeline.er_secs", er_secs);
-    dcer_obs::gauge_set("pipeline.simulated_er_secs", bsp.makespan_secs);
-
-    // Broadcast exchange: every deduced fact reached every shard, so each
-    // replica holds the global Γ — read it off shard 0.
-    let state = shards[0].deducer.take_state();
-    let simulated_er_secs = bsp.makespan_secs;
-    // Wall for the profile covers the whole run (partition, fleet build,
-    // ER), not just the two phase timers — the decomposition's 5% check
-    // compares against this.
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let profile = dcer_obs::with_collector(|c| dcer_obs::RunProfile::build(c, wall_ns));
-    Ok(PipelineReport {
-        outcome: ChaseOutcome { matches: state.matches, validated: state.validated, stats },
-        partition,
-        bsp,
-        worker_stats,
-        batch,
-        partition_secs,
-        er_secs,
-        simulated_er_secs,
-        fault_reruns,
-        profile,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dcer_chase::Fact;
-    use dcer_ml::EqualTextClassifier;
-    use dcer_relation::{Catalog, RelationSchema, ValueType};
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-
-    fn fixture() -> (Dataset, RuleSet, MlRegistry) {
-        let catalog = Arc::new(
-            Catalog::from_schemas(vec![RelationSchema::of(
-                "R",
-                &[("k", ValueType::Str), ("x", ValueType::Str)],
-            )])
-            .unwrap(),
-        );
-        let rules = dcer_mrl::parse_rules(
-            &catalog,
-            "match md: R(t), R(s), t.k = s.k -> t.id = s.id;
-             match deep: R(t), R(s), R(u), t.id = s.id, s.x = u.x -> t.id = u.id;
-             match val: R(t), R(s), t.x = s.x -> m(t.k, s.k);
-             match use: R(t), R(s), m(t.k, s.k) -> t.id = s.id",
-        )
-        .unwrap();
-        let mut data = Dataset::new(catalog);
-        for (k, x) in
-            [("a", "1"), ("a", "2"), ("b", "2"), ("b", "3"), ("c", "9"), ("d", "9"), ("e", "7")]
-        {
-            data.insert(0, vec![k.into(), x.into()]).unwrap();
-        }
-        let mut reg = MlRegistry::new();
-        reg.register("m", Arc::new(EqualTextClassifier));
-        (data, rules, reg)
-    }
-
-    /// The acceptance criterion of the refactor: all three executors run
-    /// through this one code path and produce identical match sets and
-    /// validated predictions.
-    #[test]
-    fn executors_agree_through_one_code_path() {
-        let (data, rules, reg) = fixture();
-        let mut baseline =
-            run_pipeline(&data, &rules, &reg, &PipelineConfig::sequential()).unwrap();
-        let clusters = baseline.outcome.matches.clusters();
-        let ml: BTreeSet<Fact> = baseline.outcome.validated.iter().copied().collect();
-        assert!(!clusters.is_empty());
-
-        let mut naive = run_pipeline(&data, &rules, &reg, &PipelineConfig::naive()).unwrap();
-        assert_eq!(naive.outcome.matches.clusters(), clusters);
-        assert_eq!(naive.outcome.validated.iter().copied().collect::<BTreeSet<_>>(), ml);
-
-        for workers in [2, 3, 5] {
-            let mut par =
-                run_pipeline(&data, &rules, &reg, &PipelineConfig::parallel(workers)).unwrap();
-            assert_eq!(par.outcome.matches.clusters(), clusters, "workers={workers}");
-            assert_eq!(
-                par.outcome.validated.iter().copied().collect::<BTreeSet<_>>(),
-                ml,
-                "workers={workers}"
-            );
-            assert!(par.partition.is_some());
-        }
-    }
-
-    #[test]
-    fn single_shard_runs_exchange_free() {
-        let (data, rules, reg) = fixture();
-        let report = run_pipeline(&data, &rules, &reg, &PipelineConfig::sequential()).unwrap();
-        assert_eq!(report.bsp.supersteps, 1);
-        assert_eq!(report.bsp.batches, 0);
-        assert!(report.partition.is_none());
-        assert_eq!(report.batch.built, 1, "deduce still emits its batch");
-        assert!(report.batch.facts_out > 0);
-    }
-
-    #[test]
-    fn parallel_exchange_moves_batches_not_copies() {
-        let (data, rules, reg) = fixture();
-        let report = run_pipeline(&data, &rules, &reg, &PipelineConfig::parallel(4)).unwrap();
-        assert!(report.bsp.batches > 0);
-        // Broadcast routing: every delivered batch is one of the emitted
-        // batches handed to `shards - 1` peers, so deliveries divide evenly.
-        assert_eq!(report.bsp.batches % 3, 0);
-        assert_eq!(report.bsp.shard_bytes.len(), 4);
-        assert_eq!(report.bsp.shard_bytes.iter().sum::<u64>(), report.bsp.bytes);
-    }
-
-    #[test]
-    fn crashed_shard_recovers_to_the_same_fixpoint() {
-        use dcer_bsp::{ExecutionMode, FaultPlan};
-        let (data, rules, reg) = fixture();
-        let mut baseline =
-            run_pipeline(&data, &rules, &reg, &PipelineConfig::sequential()).unwrap();
-        let clusters = baseline.outcome.matches.clusters();
-        for mode in [ExecutionMode::Simulated, ExecutionMode::Threaded] {
-            let mut cfg = PipelineConfig::parallel(3);
-            cfg.execution = mode;
-            cfg.faults = FaultConfig::with_plan(FaultPlan::crash(1, 1));
-            let mut report = run_pipeline(&data, &rules, &reg, &cfg).unwrap();
-            assert_eq!(report.outcome.matches.clusters(), clusters, "{mode:?}");
-            assert_eq!(report.bsp.recovery.crashes, 1, "{mode:?}");
-            assert_eq!(report.bsp.recovery.recoveries, 1, "{mode:?}");
-            assert_eq!(report.fault_reruns, 0, "{mode:?}: recovery happened in place");
-            assert!(report.bsp.recovery.checkpoints > 0, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_degrade_to_a_fault_free_rerun() {
-        use dcer_bsp::FaultPlan;
-        let (data, rules, reg) = fixture();
-        let mut baseline =
-            run_pipeline(&data, &rules, &reg, &PipelineConfig::sequential()).unwrap();
-        let clusters = baseline.outcome.matches.clusters();
-        // Drop the 0->1 deposit of step 0 and every scheduled retry
-        // (backoff base 1: steps 1, 3, 7) — the run must abort and the
-        // pipeline must fall back to a clean rerun with the same answer.
-        let plan = FaultPlan::parse("drop 0->1@0; drop 0->1@1; drop 0->1@3; drop 0->1@7").unwrap();
-        let mut cfg = PipelineConfig::parallel(2);
-        cfg.faults = FaultConfig::with_plan(plan);
-        let mut report = run_pipeline(&data, &rules, &reg, &cfg).unwrap();
-        assert_eq!(report.fault_reruns, 1, "retry exhaustion must force the rerun");
-        assert_eq!(report.outcome.matches.clusters(), clusters);
-        assert_eq!(report.bsp.recovery.dropped_batches, 4, "aborted attempt's counters kept");
-    }
-
-    #[test]
-    fn static_deducer_batch_reconstructs_clusters() {
-        let (data, rules, reg) = fixture();
-        let state = naive_chase(&data, &rules, &reg).unwrap();
-        let mut expected = StaticDeducer::new(state);
-        let batch = expected.deduce();
-        // Replay the batch into a fresh state: clusters must match.
-        let mut replica = ChaseState::new();
-        for &f in &batch {
-            replica.apply(f);
-        }
-        assert_eq!(replica.matches.clusters(), expected.take_state().matches.clusters());
-    }
 }

@@ -8,7 +8,7 @@
 //!
 //! - **One writer thread** owns the `UpdateSession` and drains a bounded
 //!   channel of [`UpdateBatch`]es through [`UpdateSession::run_update`]
-//!   (drift → re-bootstrap, exactly as the batch path). After each admitted
+//!   (drift or an aborted exchange → fleet rebuild). After each admitted
 //!   batch it *publishes* a fresh immutable [`Snapshot`].
 //! - **Any number of reader threads** call [`ResidentResolver::cluster_of`],
 //!   [`ResidentResolver::members`] and [`ResidentResolver::explain`]. Reads
@@ -420,9 +420,11 @@ impl ResidentResolver {
     /// blocked by this — they keep resolving against the previous epoch
     /// until the publish.
     ///
-    /// An error means the batch was rejected (and nothing was published);
-    /// an *exchange* failure additionally shuts the writer down — reads
-    /// keep serving the last good epoch, further admits fail fast.
+    /// An error means the batch was rejected: nothing was published and
+    /// the writer stops — reads keep serving the last good epoch, further
+    /// admits fail fast. An exchange that aborts under a fault plan is not
+    /// an error: the session rebuilds its fleet from the master dataset and
+    /// the admit publishes as usual.
     pub fn admit(&self, batch: UpdateBatch) -> Result<AdmitReport, String> {
         let _span = dcer_obs::span("serve.admit");
         dcer_obs::counter_add("serve.admits", 1);
@@ -471,11 +473,12 @@ fn writer_loop(mut session: UpdateSession, cell: Arc<SnapshotCell>, rx: Receiver
                 }));
             }
             Err(e) => {
-                // `run_update` fails either rejecting the batch up front
+                // `run_update` fails by rejecting the batch up front
                 // (master untouched — recoverable, but only the admitter
-                // can know how to fix the batch) or losing the fleet in an
-                // aborted exchange. Neither published anything; stop
-                // admitting, keep the last good epoch readable.
+                // can know how to fix the batch); an aborted exchange is
+                // rebuilt inside the session and never lands here. Nothing
+                // was published; stop admitting, keep the last good epoch
+                // readable.
                 dcer_obs::counter_add("serve.admit_failures", 1);
                 let _ = reply.send(Err(e));
                 break;

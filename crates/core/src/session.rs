@@ -4,8 +4,7 @@
 //! (`DMatch_C`, `DMatch_D`).
 
 use crate::dmatch::{run_dmatch, DmatchConfig, DmatchReport};
-use crate::pipeline::{run_pipeline, PipelineConfig};
-use dcer_chase::{ChaseConfig, ChaseOutcome};
+use dcer_chase::{naive_chase, ChaseConfig, ChaseOutcome};
 use dcer_ml::MlRegistry;
 use dcer_mrl::RuleSet;
 use dcer_pool::WorkPool;
@@ -80,23 +79,26 @@ impl DcerSession {
         self.try_run_sequential(dataset).expect("session models registered")
     }
 
-    /// Sequential `Match`, fallible. Runs through the unified pipeline as
-    /// its single-shard configuration.
+    /// Sequential `Match`, fallible: one [`dcer_chase::ChaseEngine`] over
+    /// the whole dataset, its indexes built on the session pool, run to
+    /// fixpoint.
     pub fn try_run_sequential(&self, dataset: &Dataset) -> Result<ChaseOutcome, String> {
         let _span = dcer_obs::span("session.sequential");
-        let mut cfg = PipelineConfig::sequential();
-        cfg.chase = self.chase.clone();
-        cfg.pool = Some(Arc::clone(&self.pool));
-        run_pipeline(dataset, &self.rules, &self.registry, &cfg).map(|r| r.outcome)
+        let mut engine = self.incremental_engine(dataset)?;
+        engine.prebuild_indexes_on(&self.pool);
+        engine.run_local_fixpoint();
+        Ok(engine.into_outcome())
     }
 
-    /// The naive reference chase (test/verification use; exponential),
-    /// replayed through the same pipeline.
+    /// The naive reference chase (test/verification use; exponential).
     pub fn run_naive(&self, dataset: &Dataset) -> Result<ChaseOutcome, String> {
         let _span = dcer_obs::span("session.naive");
-        let mut cfg = PipelineConfig::naive();
-        cfg.pool = Some(Arc::clone(&self.pool));
-        run_pipeline(dataset, &self.rules, &self.registry, &cfg).map(|r| r.outcome)
+        let state = naive_chase(dataset, &self.rules, &self.registry)?;
+        Ok(ChaseOutcome {
+            matches: state.matches,
+            validated: state.validated,
+            stats: Default::default(),
+        })
     }
 
     /// Build a long-lived incremental engine over `dataset`: run

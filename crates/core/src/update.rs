@@ -1,11 +1,15 @@
-//! [`UpdateSession`]: incremental fixpoint maintenance across the full
-//! distributed pipeline — the CDC extension of `DMatch`.
+//! [`UpdateSession`]: the one code path that runs `DMatch` — the cold
+//! resolve is its boot, and every CDC batch after it is an incremental
+//! admit.
 //!
 //! A session is a *materialized* `DMatch` run that stays resident: the
 //! HyPart partition (with its [`DeltaRouter`] geometry cache), one
 //! [`ChaseEngine`] per worker (indexes, compiled rule programs, dependency
-//! store, support log), and the master's routing table. Applying an
-//! [`UpdateBatch`] then costs work proportional to the delta, not to `|D|`:
+//! store, support log), and the master's routing table. Booting partitions
+//! the dataset, builds the fleet and runs the BSP exchange to the global
+//! fixpoint; [`crate::dmatch::run_dmatch`] is that boot, reported. Applying
+//! an [`UpdateBatch`] then costs work proportional to the delta, not to
+//! `|D|`:
 //!
 //! 1. **Route** — inserts walk the cached per-rule hypercube geometry
 //!    ([`DeltaRouter::route_insert`]), landing on exactly the cells a full
@@ -20,22 +24,25 @@
 //!    facts are exchanged as *retraction notices* round by round — a fact
 //!    another worker holds with [`dcer_chase::support::Provenance::External`]
 //!    provenance dies only by notice — until no worker drops anything new.
-//! 3. **Rederive** — a BSP exchange identical in shape to the batch
-//!    pipeline's, except superstep 0 runs [`ChaseEngine::update_fixpoint`]
-//!    (seeded joins for inserts, full rederive after a cascade, nothing
-//!    when untouched) instead of a from-scratch `Deduce`. Checkpointing and
-//!    crash recovery ride the same [`dcer_bsp::Worker`] hooks as the batch
-//!    run.
+//! 3. **Rederive** — the boot's BSP exchange: superstep 0 runs
+//!    [`ChaseEngine::update_fixpoint`], which is the full `Deduce` on a new
+//!    engine and here the staged delta (seeded joins for inserts, full
+//!    rederive after a cascade, nothing when untouched). Checkpointing and
+//!    crash recovery ride the [`dcer_bsp::Worker`] hooks.
+//!
+//! One failure policy covers boot and admits: an exchange that aborts
+//! (delivery retries exhausted) has consumed the fleet, so the session
+//! rebuilds it from the master dataset and reruns fault-free.
 //!
 //! The invariant (pinned by the equivalence proptests): after any sequence
 //! of `run_update` calls, every worker's replica of `Γ` equals the closure
 //! a from-scratch run over the final dataset computes.
 
 use crate::dmatch::DmatchConfig;
-use crate::pipeline::{build_fleet, Deducer, ShardWorker};
-use dcer_bsp::{run_bsp_on, BspStats};
-use dcer_chase::{ChaseEngine, ChaseOutcome, ChaseState, ChaseStats, DeltaBatch, Fact};
-use dcer_hypart::{partition_with_router, DeltaRouter, HyPartConfig};
+use crate::pipeline::{build_fleet, EngineDeducer, ShardWorker};
+use dcer_bsp::{run_bsp_on, BspAbort, BspStats, CostModel, FaultConfig};
+use dcer_chase::{BatchStats, ChaseEngine, ChaseOutcome, ChaseState, ChaseStats, Fact};
+use dcer_hypart::{partition_with_router, DeltaRouter, HyPartConfig, PartitionStats};
 use dcer_ml::MlRegistry;
 use dcer_mrl::RuleSet;
 use dcer_pool::WorkPool;
@@ -62,6 +69,7 @@ pub struct UpdateSession {
     hosts: HashMap<Tid, Vec<u16>>,
     updates_applied: u64,
     repartitions: u64,
+    fault_reruns: u32,
 }
 
 /// What one [`UpdateSession::run_update`] call changed.
@@ -75,9 +83,9 @@ pub struct UpdateRunReport {
     /// Identities that were live and are now tombstoned.
     pub deleted: Vec<Tid>,
     /// Facts gone from `Γ` (net of rederivations): `Γ_after = Γ_before −
-    /// retracted ∪ deduced`, with the two sets disjoint. Empty after a
-    /// drift-triggered re-partition (the fleet is rebuilt from scratch, so
-    /// no per-fact delta is tracked).
+    /// retracted ∪ deduced`, with the two sets disjoint. Empty when the
+    /// fleet was rebuilt (see `repartitioned`): no per-fact delta is
+    /// tracked then.
     pub retracted: Vec<Fact>,
     /// Facts newly in `Γ` (net of over-deletions; see `retracted`).
     pub deduced: Vec<Fact>,
@@ -86,128 +94,121 @@ pub struct UpdateRunReport {
     pub over_deleted: u64,
     /// Retraction-notice exchange rounds until the cascade quiesced.
     pub notice_rounds: u32,
-    /// Whether churn drift forced a full re-partition and fleet rebuild.
+    /// Whether the fleet was re-partitioned and rebuilt from the master
+    /// dataset: churn drift, or an exchange aborted under a fault plan.
     pub repartitioned: bool,
     /// Statistics of the rederive exchange (or of the rebuilt fleet's full
     /// run, after a re-partition).
     pub bsp: BspStats,
     /// Causal profile built from the installed collector's span graph
-    /// (see `PipelineReport::profile`); `None` unless tracing into a
+    /// (see [`crate::DmatchReport::profile`]); `None` unless tracing into a
     /// collector is enabled.
     pub profile: Option<dcer_obs::RunProfile>,
 }
 
-/// Per-shard deducer for update exchanges: superstep 0 drives the staged
-/// delta to a local fixpoint instead of re-running `Deduce` from scratch;
-/// later supersteps are the ordinary `IncDeduce`. Snapshot/recover reuse
-/// the engine's checkpointing hooks unchanged.
-struct UpdateDeducer {
-    engine: ChaseEngine,
-    /// `true` on the session's bootstrap run, where superstep 0 *is* the
-    /// from-scratch local fixpoint.
-    initial: bool,
-    /// Every fact this shard deduced during the exchange, in deduction
-    /// order — the session's per-update delta ledger.
-    emitted: Vec<Fact>,
+/// A session's boot run: what `DMatch` reports beside `Γ`.
+pub(crate) struct BootRun {
+    pub partition: PartitionStats,
+    pub partition_secs: f64,
+    pub bsp: BspStats,
+    pub batch: BatchStats,
+    pub er_secs: f64,
 }
 
-impl Deducer for UpdateDeducer {
-    fn deduce(&mut self) -> DeltaBatch {
-        let batch = if self.initial {
-            self.engine.deduce()
-        } else {
-            DeltaBatch::new(self.engine.update_fixpoint())
-        };
-        self.emitted.extend(batch.iter().copied());
-        batch
-    }
+/// A partitioned, built fleet before its first exchange.
+struct Fleet {
+    engines: Vec<ChaseEngine>,
+    router: DeltaRouter,
+    hosts: HashMap<Tid, Vec<u16>>,
+    partition: PartitionStats,
+    partition_secs: f64,
+}
 
-    fn incdeduce(&mut self, delta: &DeltaBatch) -> DeltaBatch {
-        let batch = self.engine.incdeduce(delta);
-        self.emitted.extend(batch.iter().copied());
-        batch
-    }
-
-    fn stats(&self) -> ChaseStats {
-        self.engine.stats()
-    }
-
-    fn take_state(&mut self) -> ChaseState {
-        // Non-destructive: the session keeps serving updates afterwards.
-        self.engine.state_mut().clone()
-    }
-
-    fn snapshot(&mut self) -> Option<DeltaBatch> {
-        Some(self.engine.snapshot())
-    }
-
-    fn recover(&mut self, checkpoint: Option<&DeltaBatch>) -> DeltaBatch {
-        let batch =
-            DeltaBatch::new(self.engine.recover(checkpoint.map_or(&[][..], |b| b.as_slice())));
-        self.emitted.extend(batch.iter().copied());
-        batch
-    }
+/// One exchange to global quiescence.
+struct Exchange {
+    bsp: BspStats,
+    batch: BatchStats,
+    /// Every fact the shards deduced, duplicates across shards included.
+    deduced: Vec<Fact>,
+    /// The fleet was rebuilt from the master dataset (churn drift, or an
+    /// aborted exchange), so `deduced` is all of `Γ` rather than a delta.
+    rebuilt: bool,
 }
 
 impl UpdateSession {
     /// Build a session: partition `dataset`, build the engine fleet, run
     /// the initial BSP fixpoint. `config.workers == 1` degenerates to a
-    /// resident sequential `Match` with the same update API.
+    /// resident sequential `Match` with the same update API; `0` is an
+    /// error.
     pub fn new(
         dataset: &Dataset,
         rules: RuleSet,
         registry: MlRegistry,
         config: DmatchConfig,
     ) -> Result<UpdateSession, String> {
+        Ok(Self::boot(dataset, rules, registry, config)?.0)
+    }
+
+    /// [`UpdateSession::new`], also reporting the boot run.
+    pub(crate) fn boot(
+        dataset: &Dataset,
+        rules: RuleSet,
+        registry: MlRegistry,
+        config: DmatchConfig,
+    ) -> Result<(UpdateSession, BootRun), String> {
+        if config.workers == 0 {
+            return Err("DMatch needs at least one worker".into());
+        }
         let _span = dcer_obs::span("update.bootstrap").with_arg("workers", config.workers as u64);
-        let pool = match &config.pool {
-            Some(p) => Arc::clone(p),
-            None => Arc::new(WorkPool::new(if config.threads > 0 {
-                config.threads
-            } else {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            })),
-        };
-        let (engines, router, hosts) =
-            Self::materialize(dataset, &rules, &registry, &config, &pool)?;
+        let pool = config.pool.clone().unwrap_or_else(|| {
+            Arc::new(WorkPool::new(std::thread::available_parallelism().map_or(1, |n| n.get())))
+        });
+        let fleet = Self::materialize(dataset, &rules, &registry, &config, &pool)?;
         let mut session = UpdateSession {
             rules,
             registry,
             config,
             master: dataset.clone(),
             pool,
-            engines,
-            router,
-            hosts,
+            engines: fleet.engines,
+            router: fleet.router,
+            hosts: fleet.hosts,
             updates_applied: 0,
             repartitions: 0,
+            fault_reruns: 0,
         };
-        session.exchange(true)?;
-        Ok(session)
+        let t0 = Instant::now();
+        let exchange = session.exchange()?;
+        let boot = BootRun {
+            partition: fleet.partition,
+            partition_secs: fleet.partition_secs,
+            bsp: exchange.bsp,
+            batch: exchange.batch,
+            er_secs: t0.elapsed().as_secs_f64(),
+        };
+        Ok((session, boot))
     }
 
-    /// (Re-)materialize the distributed state from the master dataset:
-    /// partition with a router, build engines, run the full fixpoint.
-    fn bootstrap(&mut self) -> Result<BspStats, String> {
-        let (engines, router, hosts) =
+    /// Re-partition the master dataset and rebuild the fleet in place; the
+    /// caller runs the exchange.
+    fn rebuild(&mut self) -> Result<(), String> {
+        let fleet =
             Self::materialize(&self.master, &self.rules, &self.registry, &self.config, &self.pool)?;
-        self.engines = engines;
-        self.router = router;
-        self.hosts = hosts;
-        let (bsp, _) = self.exchange(true)?;
-        Ok(bsp)
+        self.engines = fleet.engines;
+        self.router = fleet.router;
+        self.hosts = fleet.hosts;
+        Ok(())
     }
 
-    /// Partition (with a delta router) and build the engine fleet. The
-    /// caller runs the initial exchange.
-    #[allow(clippy::type_complexity)]
+    /// Partition (with a delta router) and build the engine fleet.
     fn materialize(
         dataset: &Dataset,
         rules: &RuleSet,
         registry: &MlRegistry,
         config: &DmatchConfig,
         pool: &Arc<WorkPool>,
-    ) -> Result<(Vec<ChaseEngine>, DeltaRouter, HashMap<Tid, Vec<u16>>), String> {
+    ) -> Result<Fleet, String> {
+        let t0 = Instant::now();
         let mut hp = HyPartConfig::new(config.workers);
         hp.use_mqo = config.use_mqo;
         hp.threads = pool.size();
@@ -216,56 +217,73 @@ impl UpdateSession {
             hp.virtual_factor = v;
         }
         let (part, router) = {
-            let _span = dcer_obs::span("update.partition");
+            let _span = dcer_obs::span("partition").with_arg("workers", config.workers as u64);
             partition_with_router(dataset, rules, &hp)
         };
+        let partition_secs = t0.elapsed().as_secs_f64();
+        // MQO also shares ML classifier results across rules with the same
+        // predicate signature; the noMQO baseline pays per rule.
         let mut chase_cfg = config.chase.clone();
         chase_cfg.share_ml_across_rules = config.use_mqo;
         let shards =
             part.fragments.into_iter().zip(part.rule_masks.into_iter().map(Arc::new)).collect();
-        let engines = build_fleet(shards, rules, registry, &chase_cfg, pool)?
-            .into_iter()
-            .map(|d| d.into_engine())
-            .collect();
-        Ok((engines, router, part.hosts))
+        let engines = build_fleet(shards, rules, registry, &chase_cfg, pool)?;
+        Ok(Fleet { engines, router, hosts: part.hosts, partition: part.stats, partition_secs })
     }
 
     /// Wrap the resident engines in BSP shards, run one exchange to global
-    /// quiescence, unwrap them again. Returns the run statistics and the
-    /// deduplicated union of every fact deduced during the exchange.
+    /// quiescence, unwrap them again.
     ///
-    /// A [`dcer_bsp::BspAbort`] (exhausted delivery retries under an
-    /// injected fault plan) consumes the fleet, so it surfaces as a hard
-    /// error: unlike the one-shot pipeline there is no degraded rerun — the
-    /// caller rebuilds the session.
-    fn exchange(&mut self, initial: bool) -> Result<(BspStats, BTreeSet<Fact>), String> {
-        let n = self.engines.len();
-        let workers: Vec<ShardWorker<UpdateDeducer>> = self
-            .engines
-            .drain(..)
-            .enumerate()
-            .map(|(i, engine)| {
-                ShardWorker::new(i, n, UpdateDeducer { engine, initial, emitted: Vec::new() })
-            })
-            .collect();
-        let (shards, bsp) = run_bsp_on(
-            &self.pool,
-            workers,
-            self.config.execution,
-            &self.config.cost,
-            &self.config.faults,
-        )
-        .map_err(|abort| format!("update exchange aborted, session lost: {}", abort.reason))?;
-        let mut deduced = BTreeSet::new();
+    /// The session's one failure policy: a [`BspAbort`] (exhausted delivery
+    /// retries under an injected fault plan) consumes the fleet, so rebuild
+    /// it from the master dataset and rerun fault-free. Matches are monotone
+    /// evidence over the accepted prefix, so the rerun reaches the same
+    /// closure. The returned statistics keep the aborted attempt's recovery
+    /// counters.
+    fn exchange(&mut self) -> Result<Exchange, String> {
+        let (shards, bsp, rebuilt) = match self.run_bsp(true) {
+            Ok((shards, bsp)) => (shards, bsp, false),
+            Err(abort) => {
+                dcer_obs::instant("bsp.recovery.degraded_rerun");
+                dcer_obs::counter_add("bsp.recovery.degraded_reruns", 1);
+                self.fault_reruns += 1;
+                self.rebuild()?;
+                let (shards, mut bsp) = self
+                    .run_bsp(false)
+                    .unwrap_or_else(|_| unreachable!("an inactive FaultConfig never aborts"));
+                bsp.recovery = abort.stats.recovery;
+                (shards, bsp, true)
+            }
+        };
+        let mut batch = BatchStats::default();
+        let mut deduced = Vec::new();
         self.engines = shards
             .into_iter()
             .map(|s| {
-                let d = s.into_deducer();
-                deduced.extend(d.emitted);
-                d.engine
+                batch.add(s.batch_stats());
+                let (engine, emitted) = s.into_deducer().into_parts();
+                deduced.extend(emitted);
+                engine
             })
             .collect();
-        Ok((bsp, deduced))
+        Ok(Exchange { bsp, batch, deduced, rebuilt })
+    }
+
+    /// One BSP run over the fleet, under the configured fault plan or none.
+    fn run_bsp(
+        &mut self,
+        faulty: bool,
+    ) -> Result<(Vec<ShardWorker<EngineDeducer>>, BspStats), BspAbort> {
+        let n = self.engines.len();
+        let workers = self
+            .engines
+            .drain(..)
+            .enumerate()
+            .map(|(i, engine)| ShardWorker::new(i, n, EngineDeducer::new(engine)))
+            .collect();
+        let none = FaultConfig::none();
+        let faults = if faulty { &self.config.faults } else { &none };
+        run_bsp_on(&self.pool, workers, self.config.execution, &CostModel::default(), faults)
     }
 
     /// Apply one CDC batch and drive the fleet to the new global fixpoint.
@@ -297,66 +315,55 @@ impl UpdateSession {
             self.hosts.remove(&tid);
         }
 
-        if self.router.drifted() {
+        let mut seen: HashSet<Fact> = HashSet::new();
+        let mut notice_rounds = 0u32;
+        let exchange = if self.router.drifted() {
             // Churn skewed the frozen cell grid past the refinement
             // threshold: delta routing would keep piling load onto hot
             // cells, so re-partition from scratch and rebuild the fleet.
             dcer_obs::instant("update.repartition");
             dcer_obs::counter_add("update.repartitions", 1);
             self.repartitions += 1;
-            let bsp = self.bootstrap()?;
-            let profile = dcer_obs::with_collector(|c| {
-                dcer_obs::RunProfile::build(c, wall.elapsed().as_nanos() as u64)
-            });
-            return Ok(UpdateRunReport {
-                outcome: self.outcome(),
-                inserted: report.inserted,
-                deleted: report.deleted,
-                retracted: Vec::new(),
-                deduced: Vec::new(),
-                over_deleted: 0,
-                notice_rounds: 0,
-                repartitioned: true,
-                bsp,
-                profile,
-            });
-        }
-
-        // Phase A — stage everywhere, then exchange retraction notices to a
-        // global fixpoint. Deletes go to every worker (fragments tolerate
-        // deletes of tuples they don't host); a worker holding a dropped
-        // fact under External provenance only learns of its death here.
-        let mut seen: HashSet<Fact> = HashSet::new();
-        let mut frontier: Vec<Fact> = Vec::new();
-        for (i, engine) in self.engines.iter_mut().enumerate() {
-            engine.extend_rule_scope(&worker_masks[i]);
-            let staged =
-                engine.stage_update(std::mem::take(&mut worker_inserts[i]), &report.deleted);
-            frontier.extend(staged.into_iter().filter(|&f| seen.insert(f)));
-        }
-        let mut notice_rounds = 0u32;
-        while !frontier.is_empty() {
-            notice_rounds += 1;
-            let notices = std::mem::take(&mut frontier);
-            for engine in &mut self.engines {
-                let dropped = engine.retract_notices(&notices);
-                frontier.extend(dropped.into_iter().filter(|&f| seen.insert(f)));
+            self.rebuild()?;
+            Exchange { rebuilt: true, ..self.exchange()? }
+        } else {
+            // Phase A — stage everywhere, then exchange retraction notices
+            // to a global fixpoint. Deletes go to every worker (fragments
+            // tolerate deletes of tuples they don't host); a worker holding
+            // a dropped fact under External provenance only learns of its
+            // death here.
+            let mut frontier: Vec<Fact> = Vec::new();
+            for (i, engine) in self.engines.iter_mut().enumerate() {
+                engine.extend_rule_scope(&worker_masks[i]);
+                let staged =
+                    engine.stage_update(std::mem::take(&mut worker_inserts[i]), &report.deleted);
+                frontier.extend(staged.into_iter().filter(|&f| seen.insert(f)));
             }
-        }
-        dcer_obs::histogram_record("update.notice_rounds", notice_rounds as u64);
-
-        // Phase B — rederive and deduce to the new global fixpoint.
-        let (bsp, deduced_set) = self.exchange(false)?;
+            while !frontier.is_empty() {
+                notice_rounds += 1;
+                let notices = std::mem::take(&mut frontier);
+                for engine in &mut self.engines {
+                    let dropped = engine.retract_notices(&notices);
+                    frontier.extend(dropped.into_iter().filter(|&f| seen.insert(f)));
+                }
+            }
+            dcer_obs::histogram_record("update.notice_rounds", notice_rounds as u64);
+            // Phase B — rederive and deduce to the new global fixpoint.
+            self.exchange()?
+        };
 
         // Net delta: a fact both retracted and rederived was only
         // transiently over-deleted and cancels out.
-        let retracted_set: BTreeSet<Fact> = seen.into_iter().collect();
-        let over_deleted = retracted_set.intersection(&deduced_set).count() as u64;
-        let retracted: Vec<Fact> = retracted_set.difference(&deduced_set).copied().collect();
-        let deduced: Vec<Fact> = deduced_set.difference(&retracted_set).copied().collect();
-        dcer_obs::histogram_record("update.retracted", retracted.len() as u64);
-        dcer_obs::histogram_record("update.deduced", deduced.len() as u64);
-
+        let (mut retracted, mut deduced, mut over_deleted) = (Vec::new(), Vec::new(), 0);
+        if !exchange.rebuilt {
+            let deduced_set: BTreeSet<Fact> = exchange.deduced.into_iter().collect();
+            let retracted_set: BTreeSet<Fact> = seen.into_iter().collect();
+            over_deleted = retracted_set.intersection(&deduced_set).count() as u64;
+            retracted = retracted_set.difference(&deduced_set).copied().collect();
+            deduced = deduced_set.difference(&retracted_set).copied().collect();
+            dcer_obs::histogram_record("update.retracted", retracted.len() as u64);
+            dcer_obs::histogram_record("update.deduced", deduced.len() as u64);
+        }
         let profile = dcer_obs::with_collector(|c| {
             dcer_obs::RunProfile::build(c, wall.elapsed().as_nanos() as u64)
         });
@@ -368,8 +375,8 @@ impl UpdateSession {
             deduced,
             over_deleted,
             notice_rounds,
-            repartitioned: false,
-            bsp,
+            repartitioned: exchange.rebuilt,
+            bsp: exchange.bsp,
             profile,
         })
     }
@@ -383,6 +390,11 @@ impl UpdateSession {
             stats.add(&e.stats());
         }
         ChaseOutcome { matches: state.matches, validated: state.validated, stats }
+    }
+
+    /// Consume the session, moving out worker 0's replica of `Γ`.
+    pub(crate) fn into_state(mut self) -> ChaseState {
+        std::mem::replace(self.engines[0].state_mut(), ChaseState::new())
     }
 
     /// The authoritative dataset as of the last update (tombstones
@@ -406,6 +418,12 @@ impl UpdateSession {
         self.repartitions
     }
 
+    /// Number of fault-free reruns forced by aborted exchanges, the boot's
+    /// included.
+    pub fn fault_reruns(&self) -> u32 {
+        self.fault_reruns
+    }
+
     /// `(inserts routed, deletes noted)` by the delta router since the last
     /// (re-)partition.
     pub fn router_counters(&self) -> (u64, u64) {
@@ -422,7 +440,8 @@ impl UpdateSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_pipeline, PipelineConfig};
+    use dcer_bsp::FaultPlan;
+    use dcer_chase::{run_match, ChaseConfig};
     use dcer_ml::EqualTextClassifier;
     use dcer_relation::{Catalog, RelationSchema, ValueType};
     use std::sync::Arc;
@@ -462,18 +481,14 @@ mod tests {
         d
     }
 
-    /// From-scratch closure over `d` through the one-shot pipeline.
-    fn scratch(d: &Dataset, workers: usize) -> ChaseOutcome {
-        let cfg = if workers == 1 {
-            PipelineConfig::sequential()
-        } else {
-            PipelineConfig::parallel(workers)
-        };
-        run_pipeline(d, &rules(), &registry(), &cfg).unwrap().outcome
+    /// From-scratch closure over `d`: the sequential `Match`, which shares
+    /// no code with the session's partition, fleet or exchange.
+    fn scratch(d: &Dataset, rules: &RuleSet) -> ChaseOutcome {
+        run_match(d, rules, &registry(), &ChaseConfig::default()).unwrap()
     }
 
-    fn assert_matches_scratch(session: &mut UpdateSession, workers: usize, ctx: &str) {
-        let mut expected = scratch(session.dataset(), workers);
+    fn assert_matches_scratch(session: &mut UpdateSession, ctx: &str) {
+        let mut expected = scratch(session.dataset(), &rules());
         let mut got = session.outcome();
         assert_eq!(got.matches.clusters(), expected.matches.clusters(), "{ctx}: clusters");
         assert_eq!(
@@ -491,7 +506,7 @@ mod tests {
             let d = dataset(&rows);
             let mut session =
                 UpdateSession::new(&d, rules(), registry(), DmatchConfig::new(workers)).unwrap();
-            assert_matches_scratch(&mut session, workers, "bootstrap");
+            assert_matches_scratch(&mut session, "bootstrap");
 
             // Insert a bridge ("e","9") linking e to the c/d component, and
             // delete a tuple of the a/b chain.
@@ -500,7 +515,7 @@ mod tests {
             let report = session.run_update(&batch).unwrap();
             assert_eq!(report.inserted.len(), 1);
             assert_eq!(report.deleted, vec![Tid::new(0, 2)]);
-            assert_matches_scratch(&mut session, workers, &format!("update1 workers={workers}"));
+            assert_matches_scratch(&mut session, &format!("update1 workers={workers}"));
 
             // Second batch: delete the bridge again plus a ghost id; repeat
             // a delete of the already-dead tuple.
@@ -512,7 +527,7 @@ mod tests {
                 .insert(0, vec!["f".into(), "7".into()]);
             let report2 = session.run_update(&batch2).unwrap();
             assert_eq!(report2.deleted, vec![report.inserted[0]]);
-            assert_matches_scratch(&mut session, workers, &format!("update2 workers={workers}"));
+            assert_matches_scratch(&mut session, &format!("update2 workers={workers}"));
             assert_eq!(session.updates_applied(), 2);
         }
     }
@@ -533,7 +548,7 @@ mod tests {
         batch.delete(Tid::new(0, 1)); // ("a","2"): the bridge
         let report = session.run_update(&batch).unwrap();
         assert!(!report.retracted.is_empty(), "bridge deletion must retract matches");
-        assert_matches_scratch(&mut session, 2, "post-delete");
+        assert_matches_scratch(&mut session, "post-delete");
         // The net delta really is a delta: nothing reported both ways.
         let r: BTreeSet<Fact> = report.retracted.iter().copied().collect();
         let a: BTreeSet<Fact> = report.deduced.iter().copied().collect();
@@ -590,10 +605,7 @@ mod tests {
         }
         assert!(repartitioned, "hot-key churn must eventually trip the drift fallback");
         assert!(session.repartitions() >= 1);
-        let mut expected =
-            run_pipeline(session.dataset(), &md_only, &registry(), &PipelineConfig::parallel(2))
-                .unwrap()
-                .outcome;
+        let mut expected = scratch(session.dataset(), &md_only);
         let mut got = session.outcome();
         assert_eq!(got.matches.clusters(), expected.matches.clusters(), "post-repartition");
     }
@@ -613,8 +625,33 @@ mod tests {
         let tid = report.inserted[0];
         let hosts = session.hosts_of(tid).expect("routed tuple is hosted");
         assert!(!hosts.is_empty());
-        assert_matches_scratch(&mut session, 4, "routed join");
+        assert_matches_scratch(&mut session, "routed join");
         let (ins, del) = session.router_counters();
         assert_eq!((ins, del), (1, 0));
+    }
+
+    #[test]
+    fn admit_survives_exhausted_retries() {
+        // Drop worker 0's step-0 deposit to worker 1 and every retry: each
+        // exchange that sends 0->1 at step 0 aborts, and the session must
+        // rebuild from its master dataset instead of losing the fleet.
+        let plan = FaultPlan::parse("drop 0->1@0; drop 0->1@1; drop 0->1@3; drop 0->1@7").unwrap();
+        let cfg = DmatchConfig::new(2).with_faults(FaultConfig::with_plan(plan));
+        let rows = [("a", "1"), ("a", "2"), ("b", "2"), ("b", "3"), ("c", "9"), ("d", "9")];
+        let mut session = UpdateSession::new(&dataset(&rows), rules(), registry(), cfg).unwrap();
+        assert_eq!(session.fault_reruns(), 1, "the boot exchange aborts and reruns");
+        assert_matches_scratch(&mut session, "boot");
+
+        let mut batch = UpdateBatch::new();
+        batch.insert(0, vec!["e".into(), "9".into()]).delete(Tid::new(0, 2));
+        let report = session.run_update(&batch).unwrap();
+        assert_eq!(session.fault_reruns(), 2, "the first admit's exchange aborts too");
+        assert!(report.repartitioned, "an aborted admit rebuilds from the master dataset");
+        assert_matches_scratch(&mut session, "admit 1");
+        let mut batch = UpdateBatch::new();
+        batch.insert(0, vec!["a".into(), "7".into()]).insert(0, vec!["f".into(), "3".into()]);
+        session.run_update(&batch).unwrap();
+        assert_matches_scratch(&mut session, "admit 2");
+        assert_eq!(session.updates_applied(), 2);
     }
 }

@@ -114,7 +114,7 @@ impl Phase {
     /// phase work (session wrappers, bookkeeping).
     pub fn of_span(name: &str) -> Option<Phase> {
         Some(match name {
-            "partition" | "update.partition" | "hypart.assign" => Phase::Partition,
+            "partition" | "hypart.assign" => Phase::Partition,
             n if n.starts_with("hypart.distribute") || n.starts_with("hypart.merge") => {
                 Phase::Partition
             }
@@ -475,7 +475,7 @@ impl StepProfile {
 
 /// The serializable causal profile of one run: makespan decomposition,
 /// per-worker utilization, per-superstep straggler indices, and the
-/// critical path. Built by `run_pipeline`/`run_update` when an
+/// critical path. Built by `run_dmatch`/`run_update` when an
 /// [`InMemoryCollector`] is installed; serialized with
 /// [`to_json`](Self::to_json) (hand-rolled — this crate stays
 /// dependency-free).

@@ -77,7 +77,7 @@ pub trait Recorder: Send + Sync {
     }
 
     /// Downcast hook: the installed recorder as an [`InMemoryCollector`],
-    /// if that is what it is. Lets `run_pipeline`/`run_update` build a
+    /// if that is what it is. Lets `run_dmatch`/`run_update` build a
     /// `RunProfile` from the collected span graph without the caller
     /// threading a concrete collector type through every layer.
     fn as_collector(&self) -> Option<&InMemoryCollector> {

@@ -66,9 +66,8 @@ fn build(rows_p: &[(u8, u8, u8)], rows_q: &[(u8, u8)]) -> Dataset {
 
 /// Proposition 8 on a realistic corpus: on a generated bibliographic
 /// workload (collective rule `phi_c` over articles/authors/venues), the
-/// naive reference chase, the sequential `Match` and `DMatch` — all three
-/// configurations of the one unified pipeline — produce identical match
-/// sets.
+/// naive reference chase, the sequential `Match` and `DMatch` produce
+/// identical match sets.
 #[test]
 fn engines_agree_on_datagen_workload() {
     use dcer_datagen::bib;

@@ -85,7 +85,7 @@ proptest! {
             d.insert(1, vec![format!("f{fk}").into(), format!("y{y}").into()]).unwrap();
         }
 
-        // Oracle: the width-1 sequential Match (single-shard pipeline).
+        // Oracle: the width-1 sequential Match (one engine, no exchange).
         let mut seq = s_width_one.run_sequential(&d);
         let expected_clusters = seq.matches.clusters();
 
