@@ -2,13 +2,18 @@
 //! (dictionary-encoded probes, static join order, reusable scratch, run at
 //! the default window width `ChaseConfig::default().batch_size`) on the
 //! join shapes that dominate the chase: string-keyed equi-join, three-atom
-//! chain join, seeded delta re-joins (`IncDeduce`), and a constant-filtered
-//! join.
+//! chain join, seeded delta re-joins (`IncDeduce`), a constant-filtered
+//! join, and a similarity join (`sim_join`: plate-like strings compared by
+//! a Levenshtein classifier inside `model` blocks, as TFACC's `r_vehicle`).
 //!
 //! The headline numbers are the absolute `compiled_ns` per shape at 100k
-//! rows per relation. The original greedy enumerator runs beside it as a
-//! floor check (`speedup` = greedy / compiled, guarded in CI), not as a
-//! performance result. After measuring, results are written to
+//! rows per relation (`sim_join`: 20k plates in blocks of 500). The
+//! original greedy enumerator runs beside it as a floor check (`speedup` =
+//! greedy / compiled, guarded in CI), not as a performance result.
+//! `sim_join` instead records how many pairs reach the classifier with the
+//! signature probe (`candidates`) and without it (`candidates_unsigned`,
+//! counted once, not timed); their ratio is a deterministic count, guarded
+//! in CI. After measuring, results are written to
 //! `BENCH_chase_eval.json` at the workspace root (or, with
 //! `CHASE_EVAL_QUICK` set, a reduced run to
 //! `results/BENCH_chase_eval_quick.json` for the CI smoke job).
@@ -18,6 +23,7 @@ use dcer_chase::{
     enumerate_valuations_greedy, enumerate_with_program, ChaseConfig, CompiledRule, EvalScratch,
     MlSigTable, RecPred, RuleProgram, ValuationSink,
 };
+use dcer_ml::{LevenshteinClassifier, MlModel};
 use dcer_mrl::TupleVar;
 use dcer_relation::{Catalog, Dataset, IndexSet, RelationSchema, Tuple, ValueType};
 use std::sync::Arc;
@@ -34,9 +40,80 @@ impl ValuationSink for CountOnly {
     }
 }
 
+/// Similarity-join sink: every pair the step's ML check sees is scored by
+/// the classifier (the candidate count), and the ones it rejects prune.
+struct PlateSink {
+    model: LevenshteinClassifier,
+    candidates: u64,
+    visited: u64,
+}
+
+impl ValuationSink for PlateSink {
+    fn prune_rec(&mut self, _p: &RecPred, l: &Tuple, r: &Tuple) -> bool {
+        self.candidates += 1;
+        !self.model.predict(&l.values[1..], &r.values[1..])
+    }
+    fn visit(&mut self, _rows: &[u32]) {
+        self.visited += 1;
+    }
+}
+
 struct Workload {
     dataset: Dataset,
     plans: Vec<CompiledRule>,
+}
+
+/// `rows` plates `AB12 CDE`-shaped (random letters, two digits) in
+/// `model` blocks of `block`; every tenth plate is a one-typo copy of the
+/// one before it, so the join has matches. Returns the `sim_join` plan
+/// without and with its certified key scheme bound.
+fn plate_workload(rows: usize, block: usize) -> (Dataset, CompiledRule, CompiledRule) {
+    let cat = Arc::new(
+        Catalog::from_schemas(vec![RelationSchema::of(
+            "V",
+            &[("model", ValueType::Str), ("plate", ValueType::Str)],
+        )])
+        .unwrap(),
+    );
+    let mut dataset = Dataset::new(cat);
+    let mut state = 0x853c_49e6_748f_ea9bu64;
+    let mut draw = |n: u64| {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    let mut last = String::new();
+    for i in 0..rows {
+        let plate = if i % 10 == 9 {
+            let mut chars: Vec<char> = last.chars().collect();
+            chars[draw(8) as usize] = 'x';
+            chars.into_iter().collect()
+        } else {
+            let mut p = String::new();
+            for pos in 0..8 {
+                p.push(match pos {
+                    2 | 3 => (b'0' + draw(10) as u8) as char,
+                    4 => ' ',
+                    _ => (b'A' + draw(26) as u8) as char,
+                });
+            }
+            p
+        };
+        dataset
+            .insert(0, vec![format!("model{}", i / block).into(), plate.clone().into()])
+            .unwrap();
+        last = plate;
+    }
+    let rules = dcer_mrl::parse_rules(
+        dataset.catalog(),
+        "match sim_join: V(t), V(s), t.model = s.model, plate_sim(t.plate, s.plate) -> t.id = s.id",
+    )
+    .unwrap();
+    let sigs = MlSigTable::build(&rules);
+    let plain = CompiledRule::compile(&rules, &sigs, 0);
+    let mut signed = plain.clone();
+    signed.bind_signatures(&sigs, &[LevenshteinClassifier::new(0.7).signatures()]);
+    (dataset, plain, signed)
 }
 
 /// `rows` tuples per relation; every key appears twice in R and twice in S,
@@ -159,8 +236,58 @@ fn main() {
         })
     });
 
+    // Similarity join: the signed program's timed run, and one counted
+    // run of each program for the candidate counts.
+    let (plate_rows, block) = if quick { (4_000, 200) } else { (20_000, 500) };
+    let (pd, plain, signed) = plate_workload(plate_rows, block);
+    let mut pidx = IndexSet::new();
+    let plain_program = RuleProgram::compile(&plain, &pd, &mut pidx);
+    let signed_program = RuleProgram::compile(&signed, &pd, &mut pidx);
+    let mut count = |plan: &CompiledRule, program: &RuleProgram| {
+        let mut sink =
+            PlateSink { model: LevenshteinClassifier::new(0.7), candidates: 0, visited: 0 };
+        enumerate_with_program(program, plan, &pd, &pidx, &[], &mut scratch, &mut sink, width);
+        (sink.candidates, sink.visited)
+    };
+    let (unsigned_cands, unsigned_visits) = count(&plain, &plain_program);
+    let (signed_cands, signed_visits) = count(&signed, &signed_program);
+    assert_eq!(signed_visits, unsigned_visits, "sim_join: signatures changed the valuations");
+    assert!(signed_visits > 0, "sim_join: the workload must have matches");
+    c.bench_function("sim_join/compiled", |b| {
+        b.iter(|| {
+            let mut sink =
+                PlateSink { model: LevenshteinClassifier::new(0.7), candidates: 0, visited: 0 };
+            black_box(enumerate_with_program(
+                &signed_program,
+                &signed,
+                &pd,
+                &pidx,
+                &[],
+                &mut scratch,
+                &mut sink,
+                width,
+            ))
+        })
+    });
+    let sim = SimJoin {
+        rows: plate_rows,
+        block,
+        valuations: signed_visits,
+        candidates: signed_cands,
+        candidates_unsigned: unsigned_cands,
+    };
+
     c.report();
-    write_report(&c, rows, width, seed_count, &expected, quick);
+    write_report(&c, rows, width, seed_count, &expected, &sim, quick);
+}
+
+/// The `sim_join` shape's counts.
+struct SimJoin {
+    rows: usize,
+    block: usize,
+    valuations: u64,
+    candidates: u64,
+    candidates_unsigned: u64,
 }
 
 /// Record the absolute `<shape>.compiled_ns` first, then the greedy floor
@@ -171,6 +298,7 @@ fn write_report(
     width: usize,
     seeds: u32,
     valuations: &[u64],
+    sim: &SimJoin,
     quick: bool,
 ) {
     use serde_json::{Map, Value};
@@ -206,6 +334,18 @@ fn write_report(
     m.insert("speedup", Value::from(greedy / compiled));
     m.insert("seeds", Value::from(seeds as i64));
     root.insert("seeded_delta", Value::Object(m));
+    let mut m = Map::new();
+    m.insert("compiled_ns", Value::from(mean("sim_join/compiled")));
+    m.insert("rows", Value::from(sim.rows));
+    m.insert("block", Value::from(sim.block));
+    m.insert("valuations", Value::from(sim.valuations));
+    m.insert("candidates", Value::from(sim.candidates));
+    m.insert("candidates_unsigned", Value::from(sim.candidates_unsigned));
+    m.insert(
+        "candidate_ratio",
+        Value::from(sim.candidates_unsigned as f64 / sim.candidates as f64),
+    );
+    root.insert("sim_join", Value::Object(m));
 
     let path = if quick {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");

@@ -231,8 +231,12 @@ impl ChaseEngine {
         config: &ChaseConfig,
     ) -> Result<ChaseEngine, String> {
         let sigs = MlSigTable::build(rules);
-        let plans = CompiledRule::compile_all(rules, &sigs);
+        let mut plans = CompiledRule::compile_all(rules, &sigs);
         let oracle = MlOracle::new(rules, registry)?;
+        let schemes = oracle.signature_schemes();
+        for plan in &mut plans {
+            plan.bind_signatures(&sigs, &schemes);
+        }
         let mut id_pred_index: HashMap<RelId, Vec<(usize, usize)>> = HashMap::new();
         let mut ml_pred_index: HashMap<u16, Vec<(usize, usize)>> = HashMap::new();
         for (pi, plan) in plans.iter().enumerate() {
@@ -1098,7 +1102,7 @@ pub fn run_match(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcer_ml::{EqualTextClassifier, NgramCosineClassifier};
+    use dcer_ml::{EqualTextClassifier, LevenshteinClassifier, NgramCosineClassifier};
     use dcer_relation::{Catalog, RelationSchema, Value, ValueType};
     use std::sync::Arc;
 
@@ -1154,6 +1158,72 @@ mod tests {
                 "config {cfg:?} diverged from naive chase"
             );
         }
+    }
+
+    /// A signature may narrow candidates only where a false classifier
+    /// answer is final. With `plate_sim` also a rule head its predicate is
+    /// waitable — `head` validates "AB12 CDE" ~ "QR47 XYZ", which share no
+    /// key — so no signature probe is compiled for it and the closure
+    /// still equals the naive chase. Without the head, both endpoints of
+    /// the predicate get one.
+    #[test]
+    fn waitable_ml_predicates_get_no_signature_probe() {
+        let cat = catalog();
+        let mut d = Dataset::new(cat.clone());
+        for (k, x) in [
+            ("k1", "AB12 CDE"),
+            ("k1", "AB12 CDF"),
+            ("k1", "QR47 XYZ"),
+            ("k2", "QR47 XYZ"),
+            ("k2", "AB12 CDE"),
+            ("k3", ""),
+            ("k3", "A"),
+        ] {
+            d.insert(0, vec![k.into(), x.into()]).unwrap();
+        }
+        // Unrelated plates, so a probe's few candidates undercut the scan.
+        for i in 0..40 {
+            d.insert(0, vec!["k9".into(), format!("{}{:02}MN{}", i % 7, i, i % 3).into()]).unwrap();
+        }
+        let mut reg = registry();
+        reg.register("plate_sim", Arc::new(LevenshteinClassifier::new(0.7)));
+        let waitable = dcer_mrl::parse_rules(
+            &cat,
+            "match head: R(t), R(s), t.k = s.k -> plate_sim(t.x, s.x);
+             match use: R(t), R(s), plate_sim(t.x, s.x) -> t.id = s.id",
+        )
+        .unwrap();
+        let final_only = dcer_mrl::parse_rules(
+            &cat,
+            "match use: R(t), R(s), plate_sim(t.x, s.x) -> t.id = s.id",
+        )
+        .unwrap();
+        let sig_probes = |rules: &RuleSet| {
+            let mut engine =
+                ChaseEngine::new(d.clone(), rules, &reg, &ChaseConfig::default()).unwrap();
+            engine.prebuild_indexes(1);
+            engine
+                .programs
+                .iter()
+                .flatten()
+                .flat_map(|p| &p.steps)
+                .map(|s| s.sigs.len())
+                .sum::<usize>()
+        };
+        assert_eq!(sig_probes(&waitable), 0);
+        assert_eq!(sig_probes(&final_only), 2);
+        for rules in [&waitable, &final_only] {
+            let mut reference = crate::naive::naive_chase(&d, rules, &reg).unwrap();
+            for cfg in configs() {
+                let mut outcome = run_match(&d, rules, &reg, &cfg).unwrap();
+                assert_eq!(outcome.matches.clusters(), reference.matches.clusters(), "{cfg:?}");
+                assert_eq!(outcome.validated, reference.validated, "{cfg:?}");
+            }
+        }
+        // The validated pair that shares no key is in the closure.
+        let mut outcome = run_match(&d, &waitable, &reg, &ChaseConfig::default()).unwrap();
+        let (ab, qr) = (Tid::new(0, 0), Tid::new(0, 2));
+        assert!(outcome.matches.are_matched(ab, qr));
     }
 
     #[test]

@@ -12,9 +12,20 @@
 //!    dictionary code — no `Value` is hashed or cloned per probe,
 //! 2. an inverted-index probe on a constant predicate, compiled to its
 //!    code once per program,
-//! 3. a lazy full scan of the variable's relation (only for genuinely
+//! 3. a signature probe through an ML predicate whose other side is
+//!    already bound and whose model certifies blocking keys
+//!    ([`dcer_ml::MlModel::signatures`]): the bound side's probe keys are
+//!    computed on the fly and the postings they name are unioned, sorted
+//!    and de-duplicated in the scratch — the only rows the classifier can
+//!    accept, which it still decides as the step's recursive check,
+//! 4. a lazy full scan of the variable's relation (only for genuinely
 //!    disconnected atoms, e.g. the all-pairs comparisons under a pure ML
-//!    predicate — inherent, as the paper notes).
+//!    predicate whose model certifies no keys).
+//!
+//! Options 1–3 are priced by candidate count when the frame opens and the
+//! smallest wins; a signature probe is materialized only when the sum of
+//! its postings lengths already undercuts the best alternative. The visit
+//! order depends on the choice; the set of valuations does not.
 //!
 //! Each frame's candidates are gathered into a columnar window of up to
 //! `batch_size` rows; recursive predicates are checked predicate-major over
@@ -41,7 +52,7 @@
 use crate::plan::{CompiledRule, RecPred};
 use crate::program::RuleProgram;
 use dcer_mrl::TupleVar;
-use dcer_relation::{Dataset, IndexSet, Tuple, ValueDict};
+use dcer_relation::{Dataset, IndexSet, Tuple, Value, ValueDict};
 
 /// Receiver for enumeration events.
 pub trait ValuationSink {
@@ -101,6 +112,20 @@ pub trait ValuationSink {
 /// Sentinel for "variable not bound" in the scratch binding array.
 const UNBOUND: u32 = u32::MAX;
 
+/// Where a frame's candidate rows come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// Row positions `pos..end` of the relation itself (lazy scan —
+    /// nothing is materialized).
+    Scan,
+    /// Offsets `pos..end` into this index slot's flat postings array.
+    Postings(u32),
+    /// Offsets `pos..end` into the signature-candidate stack, whose part
+    /// from this offset on belongs to the frame (truncated back to it when
+    /// the frame pops).
+    Sig(u32),
+}
+
 /// One backtracking level: iterates the candidate rows of one program step.
 /// Plain data — frames live in the reusable scratch, never on the call
 /// stack and never owning borrowed postings.
@@ -108,17 +133,12 @@ const UNBOUND: u32 = u32::MAX;
 struct Frame {
     /// Index into [`RuleProgram::steps`].
     step: u32,
-    /// Index slot whose flat postings array is being iterated (probe
-    /// frames only).
-    slot: u32,
-    /// Next candidate cursor: an absolute offset into the slot's postings
-    /// for probes, a row position for scans.
+    /// The candidate source.
+    source: Source,
+    /// Next candidate cursor, interpreted by `source`.
     pos: u32,
     /// End of the candidate range (exclusive).
     end: u32,
-    /// `true` when candidates are row positions `pos..end` of the
-    /// relation itself (lazy scan — nothing is materialized).
-    scan: bool,
 }
 
 /// A per-depth columnar candidate window: the candidate rows of one frame
@@ -132,8 +152,21 @@ struct BatchWindow {
     cursor: usize,
 }
 
+/// Reusable buffers of signature probes: the bound side's attribute values
+/// and the probe keys derived from them, and one stack of candidate lists
+/// — each signature frame's sorted, de-duplicated union of the postings
+/// its keys name, stacked in descent order so every depth shares one
+/// warmed allocation.
+#[derive(Debug, Default)]
+struct SigScratch {
+    side: Vec<Value>,
+    keys: Vec<u64>,
+    stack: Vec<u32>,
+}
+
 /// Reusable enumeration state: the binding array, the frame stack, one
-/// candidate window per descent depth, and the recursive-check buffers.
+/// candidate window per descent depth, the recursive-check buffers and
+/// the signature-probe buffers.
 ///
 /// Create once, pass to every [`enumerate_with_program`] call; after the
 /// first call warms its capacity, subsequent enumerations of rules with no
@@ -151,6 +184,8 @@ pub struct EvalScratch {
     pairs: Vec<(u32, u32)>,
     /// One prune verdict per entry of `pairs`.
     verdicts: Vec<bool>,
+    /// Signature-probe key buffers.
+    sig: SigScratch,
 }
 
 impl EvalScratch {
@@ -171,6 +206,10 @@ struct EvalStats {
     const_probes: u64,
     /// Candidate rows drawn from chosen probes.
     probe_rows: u64,
+    /// Signature probe options priced (probe keys computed).
+    sig_probes: u64,
+    /// Candidate rows drawn from chosen signature probes.
+    sig_rows: u64,
     /// Scan fallbacks taken.
     scans: u64,
     /// Candidate rows drawn from scans.
@@ -191,6 +230,8 @@ impl EvalStats {
         dcer_obs::counter_add("eval.probes", self.probes);
         dcer_obs::counter_add("eval.const_probes", self.const_probes);
         dcer_obs::counter_add("eval.probe_rows", self.probe_rows);
+        dcer_obs::counter_add("eval.sig_probes", self.sig_probes);
+        dcer_obs::counter_add("eval.sig_rows", self.sig_rows);
         dcer_obs::counter_add("eval.scans", self.scans);
         dcer_obs::counter_add("eval.scan_rows", self.scan_rows);
         dcer_obs::counter_add("eval.valuations", valuations);
@@ -263,8 +304,8 @@ pub fn enumerate_with_program(
         stats.publish(1);
         return 1;
     };
-    let EvalScratch { rows, frames, windows, pairs, verdicts } = scratch;
-    let frame = make_frame(program, dataset, indexes, rows, first, &mut stats);
+    let EvalScratch { rows, frames, windows, pairs, verdicts, sig } = scratch;
+    let frame = make_frame(program, dataset, indexes, rows, first, sig, &mut stats);
     frames.push(frame);
     reset_window(windows, 0);
 
@@ -282,7 +323,7 @@ pub fn enumerate_with_program(
             rows[step.var as usize] = row;
             let next = next_unbound_step(program, rows, f.step as usize + 1)
                 .expect("final-step windows are never drained");
-            let frame = make_frame(program, dataset, indexes, rows, next, &mut stats);
+            let frame = make_frame(program, dataset, indexes, rows, next, sig, &mut stats);
             frames.push(frame);
             reset_window(windows, top + 1);
             continue;
@@ -291,6 +332,9 @@ pub fn enumerate_with_program(
         if f.pos >= f.end {
             // Candidate source exhausted: unbind and backtrack.
             rows[step.var as usize] = UNBOUND;
+            if let Source::Sig(base) = f.source {
+                sig.stack.truncate(base as usize);
+            }
             frames.pop();
             continue;
         }
@@ -303,15 +347,22 @@ pub fn enumerate_with_program(
         windows[top].cursor = 0;
         {
             let fm = &mut frames[top];
+            let scan = f.source == Source::Scan;
+            let probed: &[u32] = match f.source {
+                Source::Scan => &[],
+                Source::Postings(slot) => indexes.at(slot).rows(),
+                Source::Sig(_) => &sig.stack,
+            };
             while cands.len() < batch_size && fm.pos < fm.end {
                 let pos = fm.pos;
                 fm.pos += 1;
-                let row = if f.scan { pos } else { indexes.at(f.slot).rows()[pos as usize] };
+                let row = if scan { pos } else { probed[pos as usize] };
                 // Scans walk raw positions and must skip tombstones
                 // themselves; probed candidates self-filter (a tombstoned
                 // row's code column is NULL, so the probing edge's or
-                // constant's check rejects it).
-                if f.scan && !dataset.relation(step.rel).is_live(row) {
+                // constant's check rejects it), and a signature index
+                // never posts a tombstoned row.
+                if scan && !dataset.relation(step.rel).is_live(row) {
                     continue;
                 }
                 if !sink.admit_row(TupleVar(step.var), row) {
@@ -395,6 +446,7 @@ fn bind_seeds(
     scratch.rows.clear();
     scratch.rows.resize(n, UNBOUND);
     scratch.frames.clear();
+    scratch.sig.stack.clear();
 
     // Pre-bind and validate seeds (tombstoned rows support nothing).
     for &(v, row) in seeds {
@@ -454,22 +506,27 @@ fn next_unbound_step(program: &RuleProgram, rows: &[u32], from: usize) -> Option
 }
 
 /// Price the step's available probe options and open a frame over the
-/// cheapest, falling back to a lazy scan when no option is usable.
+/// cheapest, falling back to a lazy scan when no option is usable. A
+/// signature probe pushes its candidates onto the scratch's stack, and
+/// only when the sum of its postings lengths undercuts the best option so
+/// far (the scan counting as the relation's length), so a losing probe
+/// costs only its key lookups.
 fn make_frame(
     program: &RuleProgram,
     dataset: &Dataset,
     indexes: &IndexSet,
     rows: &[u32],
     step_idx: usize,
+    scratch: &mut SigScratch,
     stats: &mut EvalStats,
 ) -> Frame {
     let step = &program.steps[step_idx];
-    let mut best: Option<(u32, u32, u32)> = None; // (slot, start, end)
+    let mut best: Option<(Source, u32, u32)> = None; // (source, start, end)
     for c in &step.consts {
         stats.const_probes += 1;
         let (s, e) = indexes.at(c.slot).bucket_range(c.code);
         if best.is_none_or(|(_, bs, be)| e - s < be - bs) {
-            best = Some((c.slot, s, e));
+            best = Some((Source::Postings(c.slot), s, e));
         }
     }
     for ep in &step.edges {
@@ -483,19 +540,69 @@ fn make_frame(
         let code = indexes.at(ep.src_slot).code_of_row(src);
         let (s, e) = indexes.at(ep.slot).bucket_range(code);
         if best.is_none_or(|(_, bs, be)| e - s < be - bs) {
-            best = Some((ep.slot, s, e));
+            best = Some((Source::Postings(ep.slot), s, e));
         }
     }
+    for sp in &step.sigs {
+        let src = rows[sp.src_var as usize];
+        if src == UNBOUND {
+            continue;
+        }
+        stats.sig_probes += 1;
+        let index = indexes.sig_at(sp.slot);
+        let tuple = &dataset.relation(sp.src_rel).tuples()[src as usize];
+        let SigScratch { side, keys, stack } = scratch;
+        side.clear();
+        side.extend(sp.src_attrs.iter().map(|&a| tuple.get(a).clone()));
+        keys.clear();
+        index.scheme().probe_keys(side, keys);
+        side.clear();
+        // The bound row's block (ignored by an unblocked index); a null
+        // one joins nothing, and no row is posted under its code.
+        let block = sp.src_block_slot.map_or(ValueDict::NULL, |b| indexes.at(b).code_of_row(src));
+        let bound: usize = keys.iter().map(|&k| index.bucket(k, block).len()).sum();
+        let to_beat = match best {
+            Some((_, s, e)) => (e - s) as usize,
+            None => dataset.relation(step.rel).len(),
+        };
+        if bound >= to_beat {
+            continue;
+        }
+        // A frame opens on top of every live frame's candidates; a second
+        // winning probe of the same step replaces the first's.
+        let base = match best {
+            Some((Source::Sig(base), ..)) => base as usize,
+            _ => stack.len(),
+        };
+        stack.truncate(base);
+        for &k in keys.iter() {
+            stack.extend_from_slice(index.bucket(k, block));
+        }
+        stack[base..].sort_unstable();
+        let mut end = base;
+        for i in base..stack.len() {
+            if end == base || stack[i] != stack[end - 1] {
+                stack[end] = stack[i];
+                end += 1;
+            }
+        }
+        stack.truncate(end);
+        best = Some((Source::Sig(base as u32), base as u32, end as u32));
+    }
     match best {
-        Some((slot, s, e)) => {
-            stats.probe_rows += (e - s) as u64;
-            Frame { step: step_idx as u32, slot, pos: s, end: e, scan: false }
+        Some((source, s, e)) => {
+            if matches!(source, Source::Sig(_)) {
+                stats.sig_rows += (e - s) as u64;
+            } else {
+                stats.probe_rows += (e - s) as u64;
+            }
+            Frame { step: step_idx as u32, source, pos: s, end: e }
         }
         None => {
             let len = dataset.relation(step.rel).len() as u32;
             stats.scans += 1;
             stats.scan_rows += len as u64;
-            Frame { step: step_idx as u32, slot: 0, pos: 0, end: len, scan: true }
+            Frame { step: step_idx as u32, source: Source::Scan, pos: 0, end: len }
         }
     }
 }

@@ -529,6 +529,13 @@ impl MlOracle {
         }
     }
 
+    /// Each model's certified key scheme
+    /// ([`dcer_ml::MlModel::signatures`]), by model index — the input to
+    /// [`crate::CompiledRule::bind_signatures`].
+    pub fn signature_schemes(&self) -> Vec<Option<Arc<dyn dcer_relation::KeyScheme>>> {
+        self.models.iter().map(|m| m.signatures()).collect()
+    }
+
     /// Relative per-prediction cost of the model behind a signature
     /// ([`dcer_ml::MlModel::cost_hint`]) — input to selectivity × cost
     /// predicate ordering.

@@ -1,11 +1,14 @@
 //! Rule compilation: MRLs are compiled once into a form the valuation
 //! enumerator consumes directly — constant filters pushed to atoms,
 //! equality predicates as join edges, and the *recursive* predicates (id and
-//! ML, whose truth can grow during the chase) separated out.
+//! ML, whose truth can grow during the chase) separated out. Binding the
+//! models ([`CompiledRule::bind_signatures`]) attaches the certified key
+//! scheme of every ML predicate whose false answer is final.
 
 use crate::facts::MlSigTable;
 use dcer_mrl::{Consequence, Predicate, Rule, RuleSet, TupleVar};
-use dcer_relation::{AttrId, RelId, Value};
+use dcer_relation::{AttrId, KeyScheme, RelId, Value};
+use std::sync::Arc;
 
 /// An instantiatable equality join edge `left.attr = right.attr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +54,32 @@ impl RecPred {
     }
 }
 
+/// The certified key scheme of one ML predicate occurrence (see
+/// [`dcer_ml::MlModel::signatures`]): a pair sharing no key is one the
+/// classifier rejects.
+#[derive(Clone)]
+pub struct SigKeys {
+    /// The model's key scheme.
+    pub scheme: Arc<dyn KeyScheme>,
+    /// The model's index in the rule set — names the scheme to the
+    /// [`dcer_relation::IndexSet`].
+    pub model: u16,
+    /// Attribute vector of the left side.
+    pub left_attrs: Vec<AttrId>,
+    /// Attribute vector of the right side.
+    pub right_attrs: Vec<AttrId>,
+}
+
+impl std::fmt::Debug for SigKeys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SigKeys")
+            .field("model", &self.model)
+            .field("left_attrs", &self.left_attrs)
+            .field("right_attrs", &self.right_attrs)
+            .finish()
+    }
+}
+
 /// A compiled consequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompiledHead {
@@ -84,6 +113,10 @@ pub struct CompiledRule {
     pub eq_edges: Vec<EqEdge>,
     /// Recursive (id / ML) predicates of the precondition.
     pub rec_preds: Vec<RecPred>,
+    /// Per entry of `rec_preds`: the certified key scheme of an ML
+    /// predicate whose false answer is final, once bound by
+    /// [`CompiledRule::bind_signatures`]; `None` otherwise.
+    pub sig_keys: Vec<Option<SigKeys>>,
     /// The consequence.
     pub head: CompiledHead,
 }
@@ -156,8 +189,32 @@ impl CompiledRule {
             atoms: rule.atoms.clone(),
             const_filters,
             eq_edges,
+            sig_keys: vec![None; rec_preds.len()],
             rec_preds,
             head,
+        }
+    }
+
+    /// Attach certified key schemes: `schemes[model]` is the
+    /// [`dcer_ml::MlModel::signatures`] of the rule set's model `model`.
+    /// Only an ML predicate whose signature no rule head validates gets
+    /// one — for a waitable signature a false classifier answer is not
+    /// final, so a pair sharing no key may still hold later and must stay
+    /// a candidate.
+    pub fn bind_signatures(&mut self, sigs: &MlSigTable, schemes: &[Option<Arc<dyn KeyScheme>>]) {
+        for (keys, pred) in self.sig_keys.iter_mut().zip(&self.rec_preds) {
+            *keys = match *pred {
+                RecPred::Ml { sig, waitable: false, .. } => {
+                    let s = sigs.sig(sig);
+                    schemes[s.model as usize].as_ref().map(|scheme| SigKeys {
+                        scheme: Arc::clone(scheme),
+                        model: s.model,
+                        left_attrs: s.left.1.clone(),
+                        right_attrs: s.right.1.clone(),
+                    })
+                }
+                _ => None,
+            };
         }
     }
 

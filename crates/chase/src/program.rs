@@ -3,10 +3,12 @@
 //! [`RuleProgram::compile`] turns a [`CompiledRule`] into a straight-line
 //! join program against one dataset: a static variable order chosen once
 //! from index cardinalities, and per-step lists of *probe options* and
-//! *checks* addressed entirely by dictionary code and index slot. The
-//! enumerator in [`crate::eval`] then runs the program with zero per-step
-//! planning, no `Value` hashing or cloning, and no allocation on the hot
-//! path.
+//! *checks* addressed entirely by dictionary code and index slot. An ML
+//! predicate with certified keys ([`crate::plan::SigKeys`]) adds a
+//! signature probe option to both endpoints' steps; the predicate itself
+//! stays a recursive check. The enumerator in [`crate::eval`] then runs
+//! the program with zero per-step planning, no `Value` hashing or
+//! cloning, and no allocation on the hot path.
 //!
 //! Compilation pre-builds every index the rule can touch (interning values
 //! into the [`IndexSet`]'s shared [`ValueDict`]); afterwards evaluation
@@ -14,9 +16,9 @@
 //! [`IndexSet::clear`] — the dataset changing invalidates every slot and
 //! code it holds.
 
-use crate::plan::CompiledRule;
+use crate::plan::{CompiledRule, RecPred};
 use dcer_mrl::TupleVar;
-use dcer_relation::{Dataset, IndexSet, RelId, ValueDict};
+use dcer_relation::{AttrId, Dataset, IndexSet, RelId, ValueDict};
 
 /// A constant filter compiled to a dictionary code: rows of the step's
 /// variable must carry `code` in the column indexed by `slot`. Doubles as a
@@ -41,6 +43,29 @@ pub struct EdgeProbe {
     pub src_var: u16,
     /// Index slot on the other endpoint's side (code column source).
     pub src_slot: u32,
+}
+
+/// A signature probe option: once `src_var` is bound, the probe keys of
+/// its `src_attrs` values select, from signature slot `slot`, the rows of
+/// this step's side that share a certified key with it — the only rows the
+/// ML predicate can accept. Compiled only for predicates whose false
+/// answer is final, so the skipped rows are ones the predicate's own check
+/// would have pruned. When an equality edge also joins the two variables,
+/// the signature index is blocked on this side's attribute of it, and the
+/// probe reads only the block of `src_var`'s code.
+#[derive(Debug, Clone)]
+pub struct SigProbe {
+    /// Signature-index slot over this step's side of the ML predicate.
+    pub slot: u32,
+    /// The other endpoint's tuple variable.
+    pub src_var: u16,
+    /// The other endpoint's relation.
+    pub src_rel: RelId,
+    /// The other endpoint's attribute vector.
+    pub src_attrs: Vec<AttrId>,
+    /// For a blocked index: the hash-index slot of the other endpoint's
+    /// side of the blocking edge (code column source).
+    pub src_block_slot: Option<u32>,
 }
 
 /// A residual equality check at a step: if `other_var` is bound, this
@@ -86,6 +111,9 @@ pub struct Step {
     pub consts: Vec<ConstProbe>,
     /// Edge probe options (usable when their source variable is bound).
     pub edges: Vec<EdgeProbe>,
+    /// Signature probe options (usable when their source variable is
+    /// bound).
+    pub sigs: Vec<SigProbe>,
     /// Equality checks incident to `var` (run when the other endpoint is
     /// bound; each edge thus fires exactly once, at its later-bound end).
     pub eq_checks: Vec<EqCheck>,
@@ -233,11 +261,50 @@ impl RuleProgram {
                 })
                 .map(|(i, _)| i as u16)
                 .collect();
+            let mut sigs = Vec::new();
+            for (pred, keys) in plan.rec_preds.iter().zip(&plan.sig_keys) {
+                let (RecPred::Ml { left, right, .. }, Some(keys)) = (pred, keys) else {
+                    continue;
+                };
+                let (l, r) = (left.0 as usize, right.0 as usize);
+                let (this, src, attrs, src_attrs) = match (l == v, r == v) {
+                    (false, true) => (r, l, &keys.right_attrs, &keys.left_attrs),
+                    (true, false) => (l, r, &keys.left_attrs, &keys.right_attrs),
+                    _ => continue,
+                };
+                // The first equality edge between the two variables blocks
+                // the index: (this side's attribute, the other's slot).
+                let block = plan.eq_edges.iter().zip(&eq_pairs).find_map(|(e, p)| {
+                    let (lv, rv) = (p.left_var as usize, p.right_var as usize);
+                    if (lv, rv) == (this, src) {
+                        Some((e.left.1, p.right_slot))
+                    } else if (lv, rv) == (src, this) {
+                        Some((e.right.1, p.left_slot))
+                    } else {
+                        None
+                    }
+                });
+                sigs.push(SigProbe {
+                    slot: indexes.sig_slot_of(
+                        dataset,
+                        plan.atoms[this],
+                        attrs,
+                        u32::from(keys.model),
+                        &keys.scheme,
+                        block.map(|(attr, _)| attr),
+                    ),
+                    src_var: src as u16,
+                    src_rel: plan.atoms[src],
+                    src_attrs: src_attrs.clone(),
+                    src_block_slot: block.map(|(_, slot)| slot),
+                });
+            }
             steps.push(Step {
                 var: v as u16,
                 rel: plan.atoms[v],
                 consts: std::mem::take(&mut consts[v]),
                 edges,
+                sigs,
                 eq_checks,
                 rec_checks,
             });

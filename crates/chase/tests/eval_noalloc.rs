@@ -1,8 +1,10 @@
 //! Asserts the enumerator's allocation-free hot path: once a
 //! [`RuleProgram`] is compiled and the [`EvalScratch`] warmed, a full
-//! `enumerate_with_program` run — index probes, candidate windows,
-//! equality checks, recursive-predicate checks, visits — performs zero heap
-//! allocations, at width 1 and at the default width alike.
+//! `enumerate_with_program` run — index probes, signature probes (probe
+//! keys computed on the fly, postings unioned and de-duplicated),
+//! candidate windows, equality checks, recursive-predicate checks, visits
+//! — performs zero heap allocations, at width 1 and at the default width
+//! alike.
 //!
 //! Lives in its own integration binary so the counting global allocator
 //! can't interact with other tests (same harness as
@@ -12,6 +14,7 @@ use dcer_chase::{
     enumerate_with_program, CompiledRule, EvalScratch, MlSigTable, RecPred, RuleProgram,
     ValuationSink,
 };
+use dcer_ml::{LevenshteinClassifier, MlModel};
 use dcer_mrl::TupleVar;
 use dcer_relation::{Catalog, Dataset, IndexSet, RelationSchema, Tuple, ValueType};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -58,26 +61,49 @@ impl ValuationSink for CountOnly {
 }
 
 /// The rules under test: a constant-filtered chain join (no recursive
-/// predicate), and an equi-join whose step also checks an ML predicate.
+/// predicate), an equi-join whose step also checks an ML predicate, and a
+/// blocked plate comparison whose ML step probes a signature index.
 const RULES: &str = r#"match j: R(t), S(s), R(u), t.k = s.k, s.k = u.k, t.v = "v3" -> t.id = u.id;
-    match ml: R(t), S(s), t.k = s.k, m(t.v, s.w) -> dummy(t.k, s.k)"#;
+    match ml: R(t), S(s), t.k = s.k, m(t.v, s.w) -> dummy(t.k, s.k);
+    match sig: V(t), V(s), t.model = s.model, plate_sim(t.plate, s.plate) -> t.id = s.id"#;
+
+/// Rows per `model` block of `V`.
+const BLOCK: usize = 100;
 
 fn setup() -> (Dataset, Vec<CompiledRule>) {
     let cat = Arc::new(
         Catalog::from_schemas(vec![
             RelationSchema::of("R", &[("k", ValueType::Str), ("v", ValueType::Str)]),
             RelationSchema::of("S", &[("k", ValueType::Str), ("w", ValueType::Str)]),
+            RelationSchema::of("V", &[("model", ValueType::Str), ("plate", ValueType::Str)]),
         ])
         .unwrap(),
     );
     let mut d = Dataset::new(cat);
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut letter = |n: u64| {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (b'A' + ((state >> 33) % n) as u8) as char
+    };
     for i in 0..600 {
         d.insert(0, vec![format!("key{}", i % 150).into(), format!("v{}", i % 7).into()]).unwrap();
         d.insert(1, vec![format!("key{}", i % 200).into(), format!("w{i}").into()]).unwrap();
+        let plate: String = (0..8).map(|p| if p == 4 { ' ' } else { letter(26) }).collect();
+        d.insert(2, vec![format!("model{}", i / BLOCK).into(), plate.into()]).unwrap();
     }
     let rules = dcer_mrl::parse_rules(d.catalog(), RULES).unwrap();
     let sigs = MlSigTable::build(&rules);
-    let plans = CompiledRule::compile_all(&rules, &sigs);
+    let mut plans = CompiledRule::compile_all(&rules, &sigs);
+    let plate_sim = LevenshteinClassifier::new(0.7);
+    let schemes: Vec<_> = rules
+        .model_names()
+        .iter()
+        .map(|name| if name == "plate_sim" { plate_sim.signatures() } else { None })
+        .collect();
+    for plan in &mut plans {
+        plan.bind_signatures(&sigs, &schemes);
+    }
     (d, plans)
 }
 
@@ -89,6 +115,7 @@ fn warmed_enumeration_does_not_allocate() {
     let mut indexes = IndexSet::new();
     let programs: Vec<RuleProgram> =
         plans.iter().map(|p| RuleProgram::compile(p, &d, &mut indexes)).collect();
+    assert!(programs[2].steps.iter().all(|s| s.sigs.len() == 1), "both plate steps probe keys");
 
     for width in [1, 1024] {
         for (plan, program) in plans.iter().zip(&programs) {
@@ -122,6 +149,12 @@ fn warmed_enumeration_does_not_allocate() {
 
             assert_eq!(unseeded, warm);
             assert!(seeded > 0, "seeded run must also enumerate");
+            if plan.name == "sig" {
+                // The sink prunes nothing, so every candidate is visited:
+                // far fewer than the blocks' all-pairs count means the
+                // signature probe, not the `model` edge, fed them.
+                assert!(warm < (600 * BLOCK / 10) as u64, "{warm} candidates visited");
+            }
             assert!(sink.visited > 0);
             assert_eq!(
                 after - before,

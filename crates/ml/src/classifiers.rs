@@ -4,9 +4,10 @@ use crate::embed::HashedNgramEmbedder;
 use crate::features::{pair_features, pair_features_cached, FeatureSide};
 use crate::logistic::LogisticRegression;
 use crate::model::{values_text, values_to_text, MlModel};
-use dcer_relation::Value;
+use dcer_relation::{KeyScheme, Value};
 use dcer_similarity::{ngram_cosine, profile_cosine, NgramProfile};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Build one cache entry per *distinct* rendered side text in a batch —
 /// the shared shape of every vectorized `classify_batch` below.
@@ -228,9 +229,29 @@ impl MlModel for JaroWinklerClassifier {
 /// the threshold's edit budget `⌊(1−θ)·max⌋ + 1` and judges a distance
 /// inside it by the similarity's own float expression — so decisions are
 /// exactly `levenshtein_similarity(a, b) >= θ`.
+///
+/// Its [`MlModel::signatures`] are PassJoin segment keys
+/// ([`dcer_similarity::passjoin`]) derived from the same threshold, so the
+/// chase enumerates only pairs sharing an intact segment.
 #[derive(Debug, Clone)]
 pub struct LevenshteinClassifier {
     threshold: f64,
+}
+
+/// [`LevenshteinClassifier`]'s certified keys over the rendered side text
+/// (single-string sides are borrowed, so probing one allocates nothing).
+#[derive(Debug)]
+struct EditSignatures {
+    threshold: f64,
+}
+
+impl KeyScheme for EditSignatures {
+    fn index_keys(&self, side: &[Value], out: &mut Vec<u64>) {
+        dcer_similarity::passjoin::index_keys(&values_text(side), self.threshold, out);
+    }
+    fn probe_keys(&self, side: &[Value], out: &mut Vec<u64>) {
+        dcer_similarity::passjoin::probe_keys(&values_text(side), self.threshold, out);
+    }
 }
 
 impl LevenshteinClassifier {
@@ -259,6 +280,10 @@ impl MlModel for LevenshteinClassifier {
     }
     fn describe(&self) -> String {
         format!("levenshtein >= {}", self.threshold)
+    }
+    /// `None` when θ ≤ 0 (every pair passes) or θ is NaN (none does).
+    fn signatures(&self) -> Option<Arc<dyn KeyScheme>> {
+        (self.threshold > 0.0).then(|| Arc::new(EditSignatures { threshold: self.threshold }) as _)
     }
 }
 
@@ -505,6 +530,83 @@ mod tests {
         }
     }
 
+    /// Whether the probe keys of `probe` share a key with the index keys of
+    /// `stored` under `scheme`.
+    fn shares_key(scheme: &dyn KeyScheme, probe: &[Value], stored: &[Value]) -> bool {
+        let (mut p, mut s) = (Vec::new(), Vec::new());
+        scheme.probe_keys(probe, &mut p);
+        scheme.index_keys(stored, &mut s);
+        p.iter().any(|k| s.contains(k))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Signatures are admissible: every pair `predict` accepts shares a
+        /// key in both role assignments, so skipping pairs that share none
+        /// loses no match.
+        #[test]
+        fn levenshtein_signatures_admit_every_accepted_pair(pair in NearPair) {
+            let (l, r) = pair;
+            for theta in [0.3, 0.7, 0.88, 0.9, 1.0] {
+                let c = LevenshteinClassifier::new(theta);
+                let scheme = c.signatures().expect("θ > 0 certifies keys");
+                if c.predict(&l, &r) {
+                    prop_assert!(shares_key(&*scheme, &l, &r), "theta {} probe l", theta);
+                    prop_assert!(shares_key(&*scheme, &r, &l), "theta {} probe r", theta);
+                }
+            }
+        }
+    }
+
+    /// The boundary pairs of `levenshtein_boundary_lands_on_threshold` —
+    /// including θ = 0.9 at max 10, whose edit budget the float expression
+    /// puts at 1 — share a key whenever the classifier accepts them.
+    #[test]
+    fn levenshtein_signatures_admit_boundary_pairs() {
+        for (theta, a, b, want) in BOUNDARY_CASES {
+            let scheme = LevenshteinClassifier::new(theta).signatures().unwrap();
+            if want {
+                assert!(shares_key(&*scheme, &v(a), &v(b)), "{a} -> {b} at {theta}");
+                assert!(shares_key(&*scheme, &v(b), &v(a)), "{b} -> {a} at {theta}");
+            }
+        }
+        // A plate and an unrelated one share nothing at the TFACC threshold.
+        let scheme = LevenshteinClassifier::new(0.7).signatures().unwrap();
+        assert!(!shares_key(&*scheme, &v("AB12 CDE"), &v("QR47 XYZ")));
+    }
+
+    /// Only a Levenshtein threshold above 0 certifies keys: θ ≤ 0 accepts
+    /// every pair, NaN none, and no other model has a certificate.
+    #[test]
+    fn signatures_default_to_none() {
+        assert!(LevenshteinClassifier::new(0.0).signatures().is_none());
+        assert!(LevenshteinClassifier::new(-0.5).signatures().is_none());
+        assert!(LevenshteinClassifier::new(f64::NAN).signatures().is_none());
+        let others: Vec<Box<dyn MlModel>> = vec![
+            Box::new(NgramCosineClassifier::new(0.7)),
+            Box::new(EmbeddingCosineClassifier::new(0.7)),
+            Box::new(TrainedPairClassifier::from_model(LogisticRegression::new(vec![], 0.0), 0.5)),
+            Box::new(JaroWinklerClassifier::new(0.88)),
+            Box::new(MongeElkanClassifier::new(0.7)),
+            Box::new(EqualTextClassifier),
+            Box::new(ThresholdClassifier::new(LevenshteinClassifier::new(0.7), 0.9)),
+        ];
+        for m in &others {
+            assert!(m.signatures().is_none(), "{}", m.describe());
+        }
+    }
+
+    /// Boundary pairs: `(θ, a, b, accepted)`.
+    const BOUNDARY_CASES: [(f64, &str, &str, bool); 6] = [
+        (0.7, "ABCDEFGHIJ", "ABCDEFGxyz", true),
+        (0.7, "ABCDEFGHIJ", "ABCDEFwxyz", false),
+        (0.7, "ABCDEFGHIJKLMNOPQRST", "ABCDEFGHIJKLMNxyzuvw", true),
+        (0.7, "ABCDEFGHIJKLMNOPQRST", "ABCDEFGHIJKLMtxyzuvw", false),
+        (0.9, "ABCDEFGHIJ", "ABCDEFGHIx", true),
+        (0.9, "ABCDEFGHIJ", "ABCDEFGHwx", false),
+    ];
+
     /// Distances whose similarity lands exactly on θ are accepted, as
     /// `levenshtein_similarity(a, b) >= θ` accepts them — including
     /// θ = 0.9 at max 10, where `⌊(1−θ)·max⌋` rounds down to 0 and only
@@ -512,15 +614,7 @@ mod tests {
     /// more edit is rejected.
     #[test]
     fn levenshtein_boundary_lands_on_threshold() {
-        let cases = [
-            (0.7, "ABCDEFGHIJ", "ABCDEFGxyz", true),
-            (0.7, "ABCDEFGHIJ", "ABCDEFwxyz", false),
-            (0.7, "ABCDEFGHIJKLMNOPQRST", "ABCDEFGHIJKLMNxyzuvw", true),
-            (0.7, "ABCDEFGHIJKLMNOPQRST", "ABCDEFGHIJKLMtxyzuvw", false),
-            (0.9, "ABCDEFGHIJ", "ABCDEFGHIx", true),
-            (0.9, "ABCDEFGHIJ", "ABCDEFGHwx", false),
-        ];
-        for (theta, a, b, want) in cases {
+        for (theta, a, b, want) in BOUNDARY_CASES {
             let sim = levenshtein_similarity(a, b);
             assert_eq!(sim >= theta, want, "{a} vs {b}: {sim}");
             assert_eq!(LevenshteinClassifier::new(theta).predict(&v(a), &v(b)), want);

@@ -1,7 +1,8 @@
 //! The [`MlModel`] trait: the contract every embedded ML predicate satisfies.
 
-use dcer_relation::Value;
+use dcer_relation::{KeyScheme, Value};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A binary ML classifier usable as an MRL predicate `M(t[Ā], s[B̄])`.
 ///
@@ -47,6 +48,21 @@ pub trait MlModel: Send + Sync {
     /// Human-readable description for logs and case studies.
     fn describe(&self) -> String {
         "ml-model".to_string()
+    }
+
+    /// Certified blocking keys: a [`KeyScheme`] whose shared key is a
+    /// *necessary* condition for [`MlModel::predict`] to accept — for every
+    /// pair `predict` accepts, in either argument order, the probe keys of
+    /// each side share a key with the index keys of the other. The scheme
+    /// must follow from the model's own threshold, exactly: a pair that
+    /// shares no key is one `predict` rejects, so the chase may skip it
+    /// without asking. It never decides a pair that does share a key.
+    ///
+    /// The default is `None` (no certificate: every pair is a candidate),
+    /// which is the only sound answer for a model whose decision boundary
+    /// has no such structure — trained, embedding and token models.
+    fn signatures(&self) -> Option<Arc<dyn KeyScheme>> {
+        None
     }
 }
 

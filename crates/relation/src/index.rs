@@ -13,12 +13,18 @@
 //!
 //! `Null` values are never indexed and receive the reserved code
 //! [`ValueDict::NULL`], which compares equal to nothing (SQL semantics).
+//!
+//! A [`SigIndex`] is the similarity counterpart: it posts each live row
+//! under the certified blocking keys a [`KeyScheme`] derives from an
+//! attribute vector, so an ML predicate whose model names such keys can
+//! be probed like an equality.
 
 use crate::dataset::Dataset;
 use crate::schema::{AttrId, RelId};
 use crate::tuple::Tid;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Shared interning dictionary: attribute [`Value`] → dense `u32` code.
 ///
@@ -315,17 +321,147 @@ impl HashIndex {
     }
 }
 
+/// Certified blocking keys of an attribute vector: what a [`SigIndex`]
+/// posts a stored row under, and what a probing row looks up.
+///
+/// The contract is a necessary condition for a match: for every pair of
+/// sides the predicate behind the scheme can accept, in either argument
+/// order, the probe keys of each side share at least one key with the
+/// index keys of the other. Keys may collide freely — a shared key only
+/// makes a pair a candidate, the predicate still decides it.
+pub trait KeyScheme: Send + Sync {
+    /// Append the keys a stored side is posted under to `out`.
+    fn index_keys(&self, side: &[Value], out: &mut Vec<u64>);
+
+    /// Append the keys a probing side looks up to `out`. Implementations
+    /// on the enumerator's hot path must not allocate for a side of one
+    /// string value.
+    fn probe_keys(&self, side: &[Value], out: &mut Vec<u64>);
+}
+
+/// Postings of a relation's live rows under the [`KeyScheme`] keys of one
+/// attribute vector: `key -> [row positions]` in CSR layout, ascending
+/// within each key. Unlike a [`HashIndex`] it never holds a tombstoned row,
+/// so its candidates need no liveness filter.
+///
+/// A *blocked* index also folds each row's dictionary code of one block
+/// attribute into its keys, so a probe that must also satisfy an equality
+/// on that attribute reads only its own block's postings. Rows whose block
+/// value is `Null` join nothing and are not posted.
+pub struct SigIndex {
+    scheme: Arc<dyn KeyScheme>,
+    rel: RelId,
+    attrs: Vec<AttrId>,
+    /// The [`HashIndex`] slot over the block attribute, if blocked.
+    block: Option<u32>,
+    /// `key -> [start, end)` range into `rows`.
+    buckets: HashMap<u64, (u32, u32)>,
+    /// Flat postings storage, grouped by key.
+    rows: Vec<u32>,
+    /// Relation positions below this one have been keyed.
+    covered: usize,
+}
+
+impl std::fmt::Debug for SigIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SigIndex")
+            .field("rel", &self.rel)
+            .field("attrs", &self.attrs)
+            .field("block", &self.block)
+            .field("keys", &self.buckets.len())
+            .field("entries", &self.rows.len())
+            .finish()
+    }
+}
+
+/// Fold a block code into a signature key. A collision only adds
+/// candidates.
+fn block_key(key: u64, code: u32) -> u64 {
+    (key ^ u64::from(code)).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31)
+}
+
+impl SigIndex {
+    /// Catch up with the relation: drop postings of rows no longer live,
+    /// key the rows appended since the last update, and re-derive the CSR
+    /// layout. `slots` are the set's hash indexes, already patched, so a
+    /// blocked index reads its new rows' block codes from them. Afterwards
+    /// the postings equal a fresh build.
+    fn update(&mut self, dataset: &Dataset, slots: &[HashIndex]) {
+        let relation = dataset.relation(self.rel);
+        let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(self.rows.len());
+        for (&key, &(s, e)) in &self.buckets {
+            let live = self.rows[s as usize..e as usize].iter().filter(|&&r| relation.is_live(r));
+            pairs.extend(live.map(|&r| (key, r)));
+        }
+        let (mut side, mut keys) = (Vec::with_capacity(self.attrs.len()), Vec::new());
+        for pos in self.covered..relation.len() {
+            if !relation.is_live(pos as u32) {
+                continue;
+            }
+            let block = self.block.map(|b| slots[b as usize].code_of_row(pos as u32));
+            if block == Some(ValueDict::NULL) {
+                continue;
+            }
+            let t = &relation.tuples()[pos];
+            side.clear();
+            side.extend(self.attrs.iter().map(|&a| t.get(a).clone()));
+            keys.clear();
+            self.scheme.index_keys(&side, &mut keys);
+            let posted = keys.iter().map(|&k| block.map_or(k, |code| block_key(k, code)));
+            pairs.extend(posted.map(|k| (k, pos as u32)));
+        }
+        self.covered = relation.len();
+        pairs.sort_unstable();
+        pairs.dedup();
+        self.buckets.clear();
+        self.rows.clear();
+        self.rows.reserve_exact(pairs.len());
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let start = self.rows.len() as u32;
+            self.rows.extend(group.iter().map(|&(_, r)| r));
+            self.buckets.insert(group[0].0, (start, self.rows.len() as u32));
+        }
+    }
+
+    /// Rows posted under `key` — within the block of dictionary code
+    /// `block` when the index is blocked (`block` is ignored otherwise) —
+    /// ascending; empty for an unseen key.
+    pub fn bucket(&self, key: u64, block: u32) -> &[u32] {
+        let key = if self.block.is_some() { block_key(key, block) } else { key };
+        match self.buckets.get(&key) {
+            Some(&(s, e)) => &self.rows[s as usize..e as usize],
+            None => &[],
+        }
+    }
+
+    /// The scheme the postings were keyed by — and that probes must use.
+    pub fn scheme(&self) -> &dyn KeyScheme {
+        &*self.scheme
+    }
+
+    /// Number of `(key, row)` postings.
+    pub fn entries(&self) -> usize {
+        self.rows.len()
+    }
+}
+
 /// Lazily built cache of [`HashIndex`]es over one dataset, all sharing one
-/// [`ValueDict`].
+/// [`ValueDict`], plus the [`SigIndex`]es of signature-bearing ML
+/// predicates.
 ///
 /// Indexes live in dense *slots* so the chase's compiled access programs
 /// can address them by `u32` id — one bounds-checked array access per
-/// candidate instead of a `(rel, attr)` hash lookup.
+/// candidate instead of a `(rel, attr)` hash lookup. Signature indexes
+/// have a slot space of their own.
 #[derive(Debug, Default)]
 pub struct IndexSet {
     dict: ValueDict,
     slots: Vec<HashIndex>,
     by_key: HashMap<(RelId, AttrId), u32>,
+    sig_slots: Vec<SigIndex>,
+    /// `(relation, attribute vector, scheme tag, block attribute)` ->
+    /// signature slot.
+    sig_by_key: HashMap<(RelId, Vec<AttrId>, u32, Option<AttrId>), u32>,
 }
 
 impl IndexSet {
@@ -420,6 +556,49 @@ impl IndexSet {
         &self.slots[slot as usize]
     }
 
+    /// Slot id of the signature index over `attrs` of relation `rel` keyed
+    /// by `scheme` — blocked on attribute `block` if given (building that
+    /// attribute's hash index too) — building it on first use. `tag` names
+    /// the scheme: the caller must pass one tag per scheme (the chase
+    /// passes the model's index in its rule set), since two models over
+    /// the same attributes key them differently. Slots are stable until
+    /// [`IndexSet::clear`].
+    pub fn sig_slot_of(
+        &mut self,
+        dataset: &Dataset,
+        rel: RelId,
+        attrs: &[AttrId],
+        tag: u32,
+        scheme: &Arc<dyn KeyScheme>,
+        block: Option<AttrId>,
+    ) -> u32 {
+        let key = (rel, attrs.to_vec(), tag, block);
+        if let Some(&slot) = self.sig_by_key.get(&key) {
+            return slot;
+        }
+        let block = block.map(|attr| self.slot_of(dataset, rel, attr));
+        let _span = dcer_obs::span("index.sig_build").with_arg("rel", rel as u64);
+        let mut index = SigIndex {
+            scheme: Arc::clone(scheme),
+            rel,
+            attrs: attrs.to_vec(),
+            block,
+            buckets: HashMap::new(),
+            rows: Vec::new(),
+            covered: 0,
+        };
+        index.update(dataset, &self.slots);
+        let slot = self.sig_slots.len() as u32;
+        self.sig_slots.push(index);
+        self.sig_by_key.insert(key, slot);
+        slot
+    }
+
+    /// Signature index at `slot` (see [`IndexSet::sig_slot_of`]).
+    pub fn sig_at(&self, slot: u32) -> &SigIndex {
+        &self.sig_slots[slot as usize]
+    }
+
     /// Get the index if it was already built.
     pub fn peek(&self, rel: RelId, attr: AttrId) -> Option<&HashIndex> {
         self.by_key.get(&(rel, attr)).map(|&slot| &self.slots[slot as usize])
@@ -446,12 +625,16 @@ impl IndexSet {
     pub fn clear(&mut self) {
         self.slots.clear();
         self.by_key.clear();
+        self.sig_slots.clear();
+        self.sig_by_key.clear();
         self.dict = ValueDict::new();
     }
 
     /// Patch built indexes in place after `dataset` was mutated: for every
     /// slot over a relation named in `changed`, tombstone dead positions,
-    /// stage rows appended since the slot was built, and integrate.
+    /// stage rows appended since the slot was built, and integrate. Every
+    /// signature index over a changed relation drops its dead rows' postings
+    /// and keys the appended rows, so it equals a fresh build.
     ///
     /// The dictionary only grows and no slot is dropped, so every slot id
     /// and interned code handed out before the update stays valid —
@@ -488,11 +671,16 @@ impl IndexSet {
             index.integrate();
             patched.push(slot);
         }
+        for sig in &mut self.sig_slots {
+            if changed.contains(&sig.rel) {
+                sig.update(dataset, &self.slots);
+            }
+        }
         patched.sort_unstable();
         patched
     }
 
-    /// Number of built indexes.
+    /// Number of built hash indexes.
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -737,6 +925,71 @@ mod tests {
                 .expect("code in dict");
             assert_eq!(set.at(r_slot).lookup(set.dict(), &v), postings);
         }
+    }
+
+    /// Keys a side by the first character of its first value.
+    struct FirstChar;
+
+    impl KeyScheme for FirstChar {
+        fn index_keys(&self, side: &[Value], out: &mut Vec<u64>) {
+            out.extend(side[0].as_str().and_then(|s| s.chars().next()).map(u64::from));
+        }
+        fn probe_keys(&self, side: &[Value], out: &mut Vec<u64>) {
+            self.index_keys(side, out);
+        }
+    }
+
+    #[test]
+    fn sig_index_posts_live_rows_and_patches_to_a_fresh_build() {
+        let cat = Arc::new(
+            Catalog::from_schemas(vec![RelationSchema::of(
+                "R",
+                &[("k", ValueType::Str), ("v", ValueType::Str)],
+            )])
+            .unwrap(),
+        );
+        let mut d = Dataset::new(cat);
+        for (k, v) in [("a", "apple"), ("b", "avocado"), ("a", "banana"), ("a", "apricot")] {
+            d.insert(0, vec![Value::str(k), Value::str(v)]).unwrap();
+        }
+        d.insert(0, vec![Value::Null, Value::str("almond")]).unwrap();
+        let scheme: Arc<dyn KeyScheme> = Arc::new(FirstChar);
+        let slots = |set: &mut IndexSet, d: &Dataset| {
+            let plain = set.sig_slot_of(d, 0, &[1], 7, &scheme, None);
+            let blocked = set.sig_slot_of(d, 0, &[1], 7, &scheme, Some(0));
+            (plain, blocked)
+        };
+        let mut set = IndexSet::new();
+        let (plain, blocked) = slots(&mut set, &d);
+        assert_ne!(plain, blocked);
+        assert_eq!(slots(&mut set, &d), (plain, blocked), "slots are stable");
+        let key = u64::from('a');
+        let a = set.code_of(&Value::str("a")).unwrap();
+        assert_eq!(set.sig_at(plain).bucket(key, ValueDict::NULL), &[0, 1, 3, 4]);
+        // Blocked: only block `a`'s rows; the null-keyed row joins nothing.
+        assert_eq!(set.sig_at(blocked).bucket(key, a), &[0, 3]);
+        assert_eq!(set.sig_at(plain).entries(), 5);
+        assert_eq!(set.sig_at(blocked).entries(), 4);
+
+        d.delete(Tid::new(0, 0));
+        d.insert(0, vec![Value::str("b"), Value::str("acai")]).unwrap();
+        let gone = d.insert(0, vec![Value::str("a"), Value::str("aronia")]).unwrap();
+        d.delete(gone);
+        set.apply_update(&d, &[0]);
+        let mut fresh = IndexSet::new();
+        let (fresh_plain, fresh_blocked) = slots(&mut fresh, &d);
+        let b = set.code_of(&Value::str("b")).unwrap();
+        for key in ['a', 'b'].map(u64::from) {
+            let want = fresh.sig_at(fresh_plain).bucket(key, ValueDict::NULL);
+            assert_eq!(set.sig_at(plain).bucket(key, ValueDict::NULL), want);
+            for (code, value) in [(a, "a"), (b, "b")] {
+                let fresh_code = fresh.code_of(&Value::str(value)).unwrap();
+                let want = fresh.sig_at(fresh_blocked).bucket(key, fresh_code);
+                assert_eq!(set.sig_at(blocked).bucket(key, code), want, "{value}");
+            }
+        }
+        assert_eq!(set.sig_at(plain).bucket(u64::from('a'), ValueDict::NULL), &[1, 3, 4, 5]);
+        assert_eq!(set.sig_at(blocked).bucket(u64::from('a'), b), &[1, 5]);
     }
 
     #[test]

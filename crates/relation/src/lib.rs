@@ -25,7 +25,7 @@ pub mod value;
 
 pub use dataset::{Dataset, Relation, UpdateBatch, UpdateReport};
 pub use error::{Error, Result};
-pub use index::{HashIndex, IndexSet, TidIndex, ValueDict};
+pub use index::{HashIndex, IndexSet, KeyScheme, SigIndex, TidIndex, ValueDict};
 pub use schema::{AttrId, Attribute, Catalog, RelId, RelationSchema};
 pub use tuple::{Tid, Tuple};
 pub use value::{Value, ValueType};

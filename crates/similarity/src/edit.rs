@@ -57,7 +57,7 @@ pub fn levenshtein_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
 }
 
 /// Unicode scalar count, without decoding ASCII.
-fn scalar_count(s: &str) -> usize {
+pub(crate) fn scalar_count(s: &str) -> usize {
     if s.is_ascii() {
         s.len()
     } else {
@@ -214,8 +214,9 @@ pub fn levenshtein_similarity_at_least(a: &str, b: &str, threshold: f64) -> bool
 }
 
 /// The similarity of distance `d` between sides of at most `max_len`
-/// scalars — the one float expression both entry points above share.
-fn normalized(d: usize, max_len: usize) -> f64 {
+/// scalars — the one float expression both entry points above share, and
+/// the one [`crate::passjoin`] derives its edit budgets from.
+pub(crate) fn normalized(d: usize, max_len: usize) -> f64 {
     1.0 - d as f64 / max_len as f64
 }
 

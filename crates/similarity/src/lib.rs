@@ -13,6 +13,7 @@
 pub mod edit;
 pub mod jaro;
 pub mod ngram;
+pub mod passjoin;
 pub mod phonetic;
 pub mod token;
 

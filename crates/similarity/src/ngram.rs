@@ -165,12 +165,13 @@ mod tests {
         for (a, b) in pairs {
             let pa = NgramProfile::of(a, 3);
             let pb = NgramProfile::of(b, 3);
-            // ngram_cosine builds fresh gram maps whose iteration order (and
-            // hence float summation order) varies per HashMap instance, so
-            // cosine agreement is ulp-approximate; the same profiles always
-            // reproduce the same value exactly.
+            // ngram_cosine builds fresh gram maps whose iteration order
+            // varies per HashMap instance, but every term of the dot
+            // product and the norms is an integer gram count (product),
+            // summed exactly in f64 in any order — so the cosines agree
+            // exactly.
             let pc = profile_cosine(&pa, &pb);
-            assert!((pc - ngram_cosine(a, b, 3)).abs() < 1e-12, "{a:?} vs {b:?}");
+            assert_eq!(pc, ngram_cosine(a, b, 3), "{a:?} vs {b:?}");
             assert_eq!(pc, profile_cosine(&pa, &pb));
             assert_eq!(profile_jaccard(&pa, &pb), ngram_jaccard(a, b, 3), "{a:?} vs {b:?}");
         }

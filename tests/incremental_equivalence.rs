@@ -8,7 +8,9 @@
 //! Each case also picks a predicate window width (1 / 7 / 1024) for the
 //! resident engines, while the from-scratch oracle always runs width 1 —
 //! so incremental maintenance over wide windows is cross-pinned against
-//! the per-candidate closure.
+//! the per-candidate closure. A TFACC case churns plates through the
+//! signature indexes of `plate_sim` and checks the maintained closure
+//! against an oracle that probes no signatures.
 
 use dcer::prelude::*;
 use dcer_ml::EqualTextClassifier;
@@ -207,6 +209,106 @@ proptest! {
                 validated_set(&want),
                 "validated facts diverged at batch {}", bi
             );
+        }
+    }
+}
+
+/// TFACC's session, and the same rules with `plate_sim` re-thresholded
+/// through [`ThresholdClassifier`]: identical decisions but no certified
+/// keys, so the oracle scores every plate pair of a `model` block instead
+/// of probing the signature index.
+fn tfacc_sessions() -> (DcerSession, DcerSession) {
+    use dcer_datagen::tfacc;
+    use dcer_ml::{LevenshteinClassifier, ThresholdClassifier};
+    let signed =
+        DcerSession::from_source(tfacc::catalog(), tfacc::rules_source(), tfacc::make_registry())
+            .unwrap();
+    let mut reg = tfacc::make_registry();
+    let plate_sim = ThresholdClassifier::new(LevenshteinClassifier::new(0.7), 0.7);
+    reg.register("plate_sim", Arc::new(plate_sim));
+    let unsigned = DcerSession::from_source(tfacc::catalog(), tfacc::rules_source(), reg).unwrap();
+    (signed, unsigned)
+}
+
+/// A plate derived from `plate`: near duplicates one or two edits away,
+/// and plates too short to cut into segments — one scalar, empty — that
+/// pair only through the wildcard key.
+fn plate_variant(plate: &str, pick: u32, at: u32) -> Value {
+    let mut chars: Vec<char> = plate.chars().collect();
+    let at = at as usize % (chars.len() + 1);
+    match pick % 8 {
+        0 => Value::str(plate),
+        1 => {
+            chars.insert(at, 'Q');
+            Value::str(chars.into_iter().collect::<String>())
+        }
+        2 if at < chars.len() => {
+            chars.remove(at);
+            Value::str(chars.into_iter().collect::<String>())
+        }
+        3 if at < chars.len() => {
+            chars[at] = 'é';
+            chars.insert(0, 'Z');
+            Value::str(chars.into_iter().collect::<String>())
+        }
+        4 => Value::str(""),
+        5 => Value::str("A"),
+        6 => Value::str("AB"),
+        _ => Value::str(chars.into_iter().rev().collect::<String>()),
+    }
+}
+
+/// Signature postings under admits: near-duplicate, short and empty plates
+/// inserted into existing `model` blocks (twice each, so short plates have
+/// partners), and vehicles deleted, at worker counts 1, 2 and 4. After
+/// every batch the maintained closure — whose signature indexes were
+/// patched by `IndexSet::apply_update` — equals a from-scratch resolve
+/// that enumerates every plate pair.
+#[test]
+fn tfacc_plate_churn_matches_scratch_without_signatures() {
+    use dcer_datagen::tfacc::{self, rel};
+    use rand::{Rng, SeedableRng};
+    let (signed, unsigned) = tfacc_sessions();
+    for seed in 0..3u64 {
+        let (base, _) =
+            tfacc::generate(&tfacc::TfaccConfig { vehicles: 40, dup: 0.3, seed: 5 + seed });
+        for workers in [1usize, 2, 4] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut us = signed.update_session(&base, &DmatchConfig::new(workers)).unwrap();
+            let mut next_vkey = 10_000i64;
+            for bi in 0..3 {
+                let mut batch = UpdateBatch::new();
+                let vehicles = us.dataset().relation(rel::VEHICLE);
+                let live: Vec<Tuple> = (0..vehicles.len() as u32)
+                    .filter(|&pos| vehicles.is_live(pos))
+                    .map(|pos| vehicles.tuples()[pos as usize].clone())
+                    .collect();
+                for _ in 0..6 {
+                    let t = &live[rng.random_range(0..live.len())];
+                    let plate = t.get(4).as_str().unwrap_or("").to_string();
+                    let variant =
+                        plate_variant(&plate, rng.random_range(0..8), rng.random_range(0..16));
+                    for _ in 0..2 {
+                        let mut values = t.values.to_vec();
+                        values[0] = Value::Int(next_vkey);
+                        values[4] = variant.clone();
+                        next_vkey += 1;
+                        batch.insert(rel::VEHICLE, values);
+                    }
+                }
+                for _ in 0..3 {
+                    batch.delete(live[rng.random_range(0..live.len())].tid);
+                }
+                us.run_update(&batch).unwrap();
+                let mut got = us.outcome();
+                let mut want = unsigned.run_sequential(us.dataset());
+                assert_eq!(
+                    got.matches.clusters(),
+                    want.matches.clusters(),
+                    "clusters diverged: seed={seed} workers={workers} batch={bi}"
+                );
+                assert_eq!(validated_set(&got), validated_set(&want));
+            }
         }
     }
 }
