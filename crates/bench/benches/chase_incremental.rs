@@ -120,7 +120,7 @@ fn main() {
 
     let mut stream = Churn::new(rows, churn);
     let mut engine = session.incremental_engine(&stream.master).expect("build resident engine");
-    engine.run_local_fixpoint();
+    engine.update_fixpoint();
 
     // Equivalence pin before timing: after churn batches (which exercise
     // cascade + rederive + seeded joins), the resident closure must equal a

@@ -4,7 +4,7 @@
 //! paper's efficiency experiments.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use dcer_chase::{ChaseConfig, ChaseEngine, Fact};
+use dcer_chase::{ChaseConfig, ChaseEngine, DeltaBatch, Fact};
 use dcer_core::DmatchConfig;
 use dcer_datagen::tpch;
 use dcer_hypart::{partition, HyPartConfig};
@@ -59,16 +59,17 @@ fn bench_incremental(c: &mut Criterion) {
     // match delta (the A_Δ path of DMatch).
     let nation_a = Tid::new(tpch::rel::NATION, 0);
     let nation_b = Tid::new(tpch::rel::NATION, 1);
+    let delta = DeltaBatch::new(vec![Fact::id(nation_a, nation_b)]);
     c.bench_function("incdeduce_single_delta", |b| {
         b.iter_batched(
             || {
                 let mut engine =
                     ChaseEngine::new(data.clone(), &rules, &registry, &ChaseConfig::default())
                         .unwrap();
-                engine.run_local_fixpoint();
+                engine.update_fixpoint();
                 engine
             },
-            |mut engine| black_box(engine.apply_delta(&[Fact::id(nation_a, nation_b)])),
+            |mut engine| black_box(engine.incdeduce(&delta)),
             criterion::BatchSize::LargeInput,
         )
     });

@@ -154,8 +154,8 @@ struct DeltaEvent {
     side_b: Vec<Tid>,
 }
 
-/// What kind of re-derivation the next [`ChaseEngine::update_fixpoint`]
-/// must run for the changes staged so far.
+/// The re-derivation the next fixpoint (whichever entry point runs it)
+/// owes the changes staged so far.
 #[derive(Debug)]
 enum Dirty {
     /// A new engine, or a retraction cascade dropped facts: the surviving
@@ -164,7 +164,8 @@ enum Dirty {
     /// re-enumerates (already known facts are absorbed as cheap no-ops;
     /// only facts with surviving alternative support come back).
     Full,
-    /// Only inserts happened: seed rule re-evaluation on the new rows.
+    /// Only inserts happened: seed rule re-evaluation on the new rows (only
+    /// valuations touching a new tuple can newly satisfy a precondition).
     Seeds(Vec<(RelId, u32)>),
     /// Nothing staged.
     None,
@@ -367,7 +368,8 @@ impl ChaseEngine {
         }
     }
 
-    /// Current chase state (read access for inspection).
+    /// Mutable access to the chase state: the BSP deducer moves it out at
+    /// the end of a run, tests inspect it in place.
     pub fn state_mut(&mut self) -> &mut ChaseState {
         &mut self.state
     }
@@ -394,52 +396,22 @@ impl ChaseEngine {
         s
     }
 
-    /// `A_Δ` as a batch: absorb a batch received from peers (duplicates are
-    /// counted and skipped, not re-applied), run `IncDeduce` to local
-    /// fixpoint, and emit the batch of *locally* deduced new facts.
+    /// `A_Δ` as a batch: discharge any staged work, absorb a batch received
+    /// from peers (duplicates are counted and skipped, not re-applied), run
+    /// `IncDeduce` to local fixpoint, and emit the batch of *locally*
+    /// deduced new facts (the received ones are already known to the
+    /// sender).
     pub fn incdeduce(&mut self, received: &DeltaBatch) -> DeltaBatch {
-        DeltaBatch::new(self.apply_delta(received.as_slice()))
+        DeltaBatch::new(self.fixpoint(Some(received.as_slice())))
     }
 
-    /// `Match` (Fig. 3): `Deduce` once, then `IncDeduce` to local fixpoint.
-    /// Returns every fact newly deduced here in deduction order — the
-    /// partial-evaluation step `A` of the paper. A full round covers every
-    /// staged change.
-    pub fn run_local_fixpoint(&mut self) -> Vec<Fact> {
-        self.dirty = Dirty::None;
-        let mut out = Vec::new();
-        {
-            let _deduce = dcer_obs::span("chase.deduce");
-            self.deduce_round(&mut out);
-        }
-        {
-            let _inc = dcer_obs::span("chase.incdeduce");
-            self.incdeduce_loop(&mut out);
-        }
-        dcer_obs::histogram_record("chase.delta_facts", out.len() as u64);
-        out
-    }
-
-    /// Vec-level form of [`ChaseEngine::incdeduce`]: incorporate facts
-    /// received from other workers, then run `IncDeduce` to local fixpoint.
-    /// Returns only *locally* deduced new facts (the received ones are
-    /// already known to the sender).
-    pub fn apply_delta(&mut self, received: &[Fact]) -> Vec<Fact> {
-        let _inc = dcer_obs::span("chase.incdeduce");
-        dcer_obs::histogram_record("chase.recv_facts", received.len() as u64);
-        self.stats.facts_received += received.len() as u64;
-        for &f in received {
-            if let Some((side_a, side_b)) = self.state.apply(f) {
-                self.log.push(f, Provenance::External);
-                self.pending.push_back(DeltaEvent { fact: f, side_a, side_b });
-            } else {
-                self.stats.facts_absorbed += 1;
-            }
-        }
-        let mut out = Vec::new();
-        self.incdeduce_loop(&mut out);
-        dcer_obs::histogram_record("chase.delta_facts", out.len() as u64);
-        out
+    /// `A`: drive the staged work to a new local fixpoint; returns the facts
+    /// newly deduced here in deduction order (rederivations of over-deleted
+    /// facts included). A new engine starts fully dirty, so its first call
+    /// is `Match` (Fig. 3): one full `Deduce`, then `IncDeduce` to
+    /// quiescence.
+    pub fn update_fixpoint(&mut self) -> Vec<Fact> {
+        self.fixpoint(None)
     }
 
     /// Checkpoint the engine's durable deduction state as a canonical
@@ -462,11 +434,57 @@ impl ChaseEngine {
     pub fn recover(&mut self, checkpoint: &[Fact]) -> Vec<Fact> {
         let _span = dcer_obs::span("chase.recover");
         self.state = ChaseState::new();
-        self.deps.reset();
         self.log.clear();
-        self.pending.clear();
-        let mut out = self.run_local_fixpoint();
-        out.extend(self.apply_delta(checkpoint));
+        self.dirty = Dirty::Full;
+        let mut out = self.fixpoint(None);
+        out.extend(self.fixpoint(Some(checkpoint)));
+        out
+    }
+
+    /// The one fixpoint behind every entry point: discharge the staged
+    /// [`Dirty`] obligation, absorb `received` (facts from peers; `None`
+    /// when nothing was received), then run `IncDeduce` to quiescence.
+    /// Returns the facts newly deduced here, in deduction order.
+    fn fixpoint(&mut self, received: Option<&[Fact]>) -> Vec<Fact> {
+        let mut out = Vec::new();
+        match std::mem::replace(&mut self.dirty, Dirty::None) {
+            Dirty::Full => {
+                let _deduce = dcer_obs::span("chase.deduce");
+                self.deps.reset();
+                self.pending.clear();
+                self.deduce_round(&mut out);
+            }
+            Dirty::Seeds(rows) => {
+                let _span = dcer_obs::span("chase.seeded_update");
+                for pi in 0..self.plans.len() {
+                    for v in 0..self.plans[pi].num_vars() {
+                        let rel = self.plans[pi].atoms[v];
+                        for &(r, row) in &rows {
+                            if r == rel {
+                                self.stats.seeded_joins += 1;
+                                self.run_plan(pi, &[(TupleVar(v as u16), row)], &mut out);
+                            }
+                        }
+                    }
+                }
+            }
+            Dirty::None => {}
+        }
+        let _inc = dcer_obs::span("chase.incdeduce");
+        if let Some(received) = received {
+            dcer_obs::histogram_record("chase.recv_facts", received.len() as u64);
+            self.stats.facts_received += received.len() as u64;
+            for &f in received {
+                if let Some((side_a, side_b)) = self.state.apply(f) {
+                    self.log.push(f, Provenance::External);
+                    self.pending.push_back(DeltaEvent { fact: f, side_a, side_b });
+                } else {
+                    self.stats.facts_absorbed += 1;
+                }
+            }
+        }
+        self.incdeduce_loop(&mut out);
+        dcer_obs::histogram_record("chase.delta_facts", out.len() as u64);
         out
     }
 
@@ -674,15 +692,6 @@ impl ChaseEngine {
         }
     }
 
-    /// Incremental ER under data insertions — the `ΔD` extension sketched
-    /// in the paper's Section V-A remark: add new tuples, then deduce
-    /// exactly the consequences that involve them. Equivalent to
-    /// [`ChaseEngine::apply_update`] with an empty delete set.
-    pub fn insert_and_deduce(&mut self, tuples: Vec<dcer_relation::Tuple>) -> Vec<Fact> {
-        self.stage_update(tuples, &[]);
-        self.update_fixpoint()
-    }
-
     /// Stage a CDC batch: mutate the fragment (tombstoning deletes in
     /// place), patch the inverted indices incrementally, invalidate only
     /// the compiled programs whose atoms touch a changed relation, and run
@@ -752,48 +761,6 @@ impl ChaseEngine {
         retracted
     }
 
-    /// Drive the staged updates to a new local fixpoint; returns the facts
-    /// newly deduced (rederivations of over-deleted facts included).
-    ///
-    /// Inserts-only batches re-enumerate each rule seeded on the new rows —
-    /// only valuations touching a new tuple can newly satisfy a
-    /// precondition, the old data's valuations were exhausted by earlier
-    /// rounds. After a retraction cascade the dependency store and delta
-    /// queue may reference antecedents that no longer hold, so both are
-    /// discarded and one full `Deduce` round re-enumerates (facts still in
-    /// `Γ` absorb as no-ops; `H` is repopulated). A new engine starts fully
-    /// dirty, so its first call is [`ChaseEngine::run_local_fixpoint`].
-    pub fn update_fixpoint(&mut self) -> Vec<Fact> {
-        let mut out = Vec::new();
-        match std::mem::replace(&mut self.dirty, Dirty::None) {
-            Dirty::Full => {
-                self.deps.reset();
-                self.pending.clear();
-                return self.run_local_fixpoint();
-            }
-            Dirty::Seeds(rows) => {
-                let _span = dcer_obs::span("chase.seeded_update");
-                for pi in 0..self.plans.len() {
-                    for v in 0..self.plans[pi].num_vars() {
-                        let var = TupleVar(v as u16);
-                        let rel = self.plans[pi].atoms[v];
-                        for &(r, row) in &rows {
-                            if r == rel {
-                                self.stats.seeded_joins += 1;
-                                self.run_plan(pi, &[(var, row)], &mut out);
-                            }
-                        }
-                    }
-                }
-                self.incdeduce_loop(&mut out);
-            }
-            Dirty::None => {
-                self.incdeduce_loop(&mut out);
-            }
-        }
-        out
-    }
-
     /// Apply retraction notices from peers: facts another worker retracted
     /// that this worker may hold via [`Provenance::External`]. Cascades
     /// locally and returns the *additional* facts dropped here (the noticed
@@ -824,7 +791,8 @@ impl ChaseEngine {
         dropped
     }
 
-    /// One CDC batch end to end: stage, cascade, rederive, fixpoint.
+    /// One CDC batch end to end: stage and cascade
+    /// ([`ChaseEngine::stage_update`]), then rederive to fixpoint.
     /// The closure after any sequence of `apply_update` calls is identical
     /// to a from-scratch chase over the final dataset.
     pub fn apply_update(
@@ -833,8 +801,7 @@ impl ChaseEngine {
         deletes: &[Tid],
     ) -> UpdateDelta {
         let retracted = self.stage_update(inserts, deletes);
-        let deduced = self.update_fixpoint();
-        UpdateDelta { retracted, deduced }
+        UpdateDelta { retracted, deduced: self.fixpoint(None) }
     }
 
     /// Consume the engine, producing the final `Γ`.
@@ -1095,7 +1062,7 @@ pub fn run_match(
     config: &ChaseConfig,
 ) -> Result<ChaseOutcome, String> {
     let mut engine = ChaseEngine::new(dataset.clone(), rules, registry, config)?;
-    engine.run_local_fixpoint();
+    engine.update_fixpoint();
     Ok(engine.into_outcome())
 }
 
@@ -1266,7 +1233,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_triggers_downstream_matches() {
+    fn incdeduce_triggers_downstream_matches() {
         // Worker-style use: external match (a~b) arrives; local rule
         // propagates to c via x equality.
         let cat = catalog();
@@ -1283,15 +1250,23 @@ mod tests {
         .unwrap();
         for cfg in configs() {
             let mut engine = ChaseEngine::new(d.clone(), &rules, &registry(), &cfg).unwrap();
-            let initial = engine.run_local_fixpoint();
+            let initial = engine.update_fixpoint();
             assert!(initial.is_empty(), "no local matches without the external fact");
-            let new_facts = engine.apply_delta(&[Fact::id(a, b)]);
+            let new_facts = engine.incdeduce(&DeltaBatch::new(vec![Fact::id(a, b)]));
             assert!(
                 new_facts.contains(&Fact::id(a, c)) || new_facts.contains(&Fact::id(b, c)),
                 "config {cfg:?}: got {new_facts:?}"
             );
             let mut outcome = engine.into_outcome();
             assert!(outcome.matches.are_matched(a, c));
+
+            // A fresh engine still owes its full `Deduce` round: `incdeduce`
+            // must discharge it before chasing the received fact, or the
+            // fact meets an empty `H` and its consequences are lost.
+            let mut fresh = ChaseEngine::new(d.clone(), &rules, &registry(), &cfg).unwrap();
+            fresh.incdeduce(&DeltaBatch::new(vec![Fact::id(a, b)]));
+            let mut outcome = fresh.into_outcome();
+            assert!(outcome.matches.are_matched(a, c), "fresh engine, config {cfg:?}");
         }
     }
 
@@ -1324,7 +1299,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_deduce_matches_full_rerun() {
+    fn inserting_apply_update_matches_full_rerun() {
         // ΔD extension: inserting tuples incrementally must converge to the
         // same Γ as chasing the final dataset from scratch.
         let cat = catalog();
@@ -1340,7 +1315,7 @@ mod tests {
         let reg = registry();
         for cfg in configs() {
             let mut engine = ChaseEngine::new(base.clone(), &rules, &reg, &cfg).unwrap();
-            engine.run_local_fixpoint();
+            engine.update_fixpoint();
 
             // Insert c (matches a via k1) and d (x-linked to everything).
             let mut full = base.clone();
@@ -1349,7 +1324,7 @@ mod tests {
             let new_tuples: Vec<_> =
                 [c, d_tid].iter().map(|&t| full.tuple(t).unwrap().clone()).collect();
 
-            let delta_facts = engine.insert_and_deduce(new_tuples);
+            let delta_facts = engine.apply_update(new_tuples, &[]).deduced;
             assert!(!delta_facts.is_empty(), "config {cfg:?}");
             let mut incremental = engine.into_outcome();
 
@@ -1366,7 +1341,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_deduce_ignores_known_tuples_and_empty_batches() {
+    fn apply_update_ignores_known_tuples_and_empty_batches() {
         let cat = catalog();
         let mut d = Dataset::new(cat.clone());
         let a = d.insert(0, vec!["k".into(), "x".into()]).unwrap();
@@ -1374,10 +1349,10 @@ mod tests {
             dcer_mrl::parse_rules(&cat, "match r: R(t), R(s), t.k = s.k -> t.id = s.id").unwrap();
         let mut engine =
             ChaseEngine::new(d.clone(), &rules, &registry(), &ChaseConfig::default()).unwrap();
-        engine.run_local_fixpoint();
-        assert!(engine.insert_and_deduce(Vec::new()).is_empty());
+        engine.update_fixpoint();
+        assert!(engine.apply_update(Vec::new(), &[]).deduced.is_empty());
         let dup = d.tuple(a).unwrap().clone();
-        assert!(engine.insert_and_deduce(vec![dup]).is_empty(), "replica ignored");
+        assert!(engine.apply_update(vec![dup], &[]).deduced.is_empty(), "replica ignored");
     }
 
     #[test]
@@ -1400,7 +1375,7 @@ mod tests {
         let reg = registry();
         for cfg in configs() {
             let mut engine = ChaseEngine::new(d.clone(), &rules, &reg, &cfg).unwrap();
-            engine.run_local_fixpoint();
+            engine.update_fixpoint();
             {
                 let mut pre = engine.state_mut();
                 assert!(pre.holds_id(a, b), "a~b via k1 before the delete");
@@ -1441,7 +1416,7 @@ mod tests {
         let reg = registry();
         for cfg in configs() {
             let mut engine = ChaseEngine::new(base.clone(), &rules, &reg, &cfg).unwrap();
-            engine.run_local_fixpoint();
+            engine.update_fixpoint();
 
             // Batch 1: insert c (k1, so a~b~c) and delete a.
             let mut full = base.clone();
@@ -1567,7 +1542,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_tolerates_unknown_tids() {
+    fn incdeduce_tolerates_unknown_tids() {
         // Facts about tuples not hosted locally must be absorbed into the
         // union-find without panicking (master routing normally prevents
         // this, but robustness matters).
@@ -1577,10 +1552,10 @@ mod tests {
         let rules =
             dcer_mrl::parse_rules(&cat, "match r: R(t), R(s), t.k = s.k -> t.id = s.id").unwrap();
         let mut engine = ChaseEngine::new(d, &rules, &registry(), &ChaseConfig::default()).unwrap();
-        engine.run_local_fixpoint();
+        engine.update_fixpoint();
         let ghost_a = dcer_relation::Tid::new(0, 900);
         let ghost_b = dcer_relation::Tid::new(0, 901);
-        let out = engine.apply_delta(&[Fact::id(ghost_a, ghost_b)]);
+        let out = engine.incdeduce(&DeltaBatch::new(vec![Fact::id(ghost_a, ghost_b)]));
         assert!(out.is_empty());
         assert!(engine.state_mut().holds_id(ghost_a, ghost_b));
     }

@@ -24,11 +24,13 @@
 //! `chase_eval` bench baseline.
 //!
 //! The engine doubles as the per-worker algorithm of the parallel `DMatch`:
-//! `A` is [`ChaseEngine::update_fixpoint`] (on a new engine, the full
-//! [`ChaseEngine::run_local_fixpoint`]) and `A_Δ` is
-//! [`ChaseEngine::incdeduce`], exchanging [`DeltaBatch`]es — the immutable, sorted, `Arc`-backed unit
-//! of fact exchange that the BSP runtime routes between workers without
-//! deep-copying facts.
+//! `A` is [`ChaseEngine::update_fixpoint`] (on a new engine, one full
+//! `Deduce` round and then `IncDeduce`) and `A_Δ` is
+//! [`ChaseEngine::incdeduce`]. Both run the engine's one private fixpoint,
+//! as do CDC admits ([`ChaseEngine::apply_update`]) and crash recovery
+//! ([`ChaseEngine::recover`]). Workers exchange [`DeltaBatch`]es — the
+//! immutable, sorted, `Arc`-backed unit of fact exchange that the BSP
+//! runtime routes between workers without deep-copying facts.
 
 pub mod batch;
 pub mod deps;
@@ -39,7 +41,6 @@ pub mod greedy;
 pub mod naive;
 pub mod plan;
 pub mod program;
-pub mod soft;
 pub mod support;
 pub mod union_find;
 
@@ -52,6 +53,5 @@ pub use greedy::enumerate_valuations_greedy;
 pub use naive::naive_chase;
 pub use plan::{CompiledHead, CompiledRule, RecPred};
 pub use program::RuleProgram;
-pub use soft::{soft_chase, SoftFact, SoftOutcome};
 pub use support::{Provenance, SupportLog};
 pub use union_find::MatchSet;

@@ -227,12 +227,6 @@ impl CompiledRule {
     pub fn num_vars(&self) -> usize {
         self.atoms.len()
     }
-
-    /// Whether the precondition has any recursive predicate (the rule needs
-    /// re-examination as `Γ` grows).
-    pub fn is_recursive(&self) -> bool {
-        !self.rec_preds.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -274,7 +268,6 @@ mod tests {
         assert_eq!(c.const_filters[0].len(), 2);
         assert!(c.const_filters[1].is_empty());
         assert_eq!(c.rec_preds.len(), 2);
-        assert!(c.is_recursive());
         match c.head {
             CompiledHead::Ml { symmetric, .. } => assert!(symmetric),
             other => panic!("unexpected head {other:?}"),
@@ -315,7 +308,7 @@ mod tests {
             dcer_mrl::parse_rules(&cat, "match a: R(t), R(s), t.k = s.k -> t.id = s.id").unwrap();
         let sigs = MlSigTable::build(&rules);
         let c = CompiledRule::compile(&rules, &sigs, 0);
-        assert!(!c.is_recursive());
+        assert!(c.rec_preds.is_empty());
         assert_eq!(CompiledRule::compile_all(&rules, &sigs).len(), 1);
     }
 }

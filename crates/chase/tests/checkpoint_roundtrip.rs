@@ -120,7 +120,7 @@ proptest! {
         };
 
         let mut original = ChaseEngine::new(data.clone(), &rules, &registry, &config).unwrap();
-        original.run_local_fixpoint();
+        original.update_fixpoint();
         let ckpt = original.snapshot();
 
         // Through the wire, as a disk-spilled checkpoint would travel.
@@ -147,7 +147,7 @@ fn empty_checkpoint_recovers_to_the_plain_fixpoint() {
     let config = ChaseConfig::default();
 
     let mut plain = ChaseEngine::new(data.clone(), &rules, &registry, &config).unwrap();
-    plain.run_local_fixpoint();
+    plain.update_fixpoint();
 
     let mut recovered = ChaseEngine::new(data, &rules, &registry, &config).unwrap();
     recovered.recover(&[]);

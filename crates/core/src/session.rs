@@ -86,7 +86,7 @@ impl DcerSession {
         let _span = dcer_obs::span("session.sequential");
         let mut engine = self.incremental_engine(dataset)?;
         engine.prebuild_indexes_on(&self.pool);
-        engine.run_local_fixpoint();
+        engine.update_fixpoint();
         Ok(engine.into_outcome())
     }
 
@@ -102,9 +102,12 @@ impl DcerSession {
     }
 
     /// Build a long-lived incremental engine over `dataset`: run
-    /// [`dcer_chase::ChaseEngine::run_local_fixpoint`] once, then feed data
-    /// insertions through [`dcer_chase::ChaseEngine::insert_and_deduce`] —
-    /// the ΔD extension of Section V-A's remark.
+    /// [`dcer_chase::ChaseEngine::update_fixpoint`] once, then feed CDC
+    /// insert/delete batches through
+    /// [`dcer_chase::ChaseEngine::apply_update`] — the ΔD extension of
+    /// Section V-A's remark. The engine starts fully dirty, so the first
+    /// `apply_update` also runs the full `Deduce` if `update_fixpoint` was
+    /// skipped.
     pub fn incremental_engine(&self, dataset: &Dataset) -> Result<dcer_chase::ChaseEngine, String> {
         let mut engine = dcer_chase::ChaseEngine::new(
             dataset.clone(),

@@ -49,7 +49,7 @@ fn incremental_arrival_of_orders_reaches_the_same_fixpoint() {
         }
     }
     let mut engine = s.incremental_engine(&base).unwrap();
-    engine.run_local_fixpoint();
+    engine.update_fixpoint();
     // Without orders: only phi1 (c2~c3), phi2 (p2~p3) and phi3 (s4~s5) can
     // fire; phi4/phi5 need order evidence.
     assert!(engine.state_mut().holds_id(Tid::new(0, 1), Tid::new(0, 2)));
@@ -57,7 +57,7 @@ fn incremental_arrival_of_orders_reaches_the_same_fixpoint() {
 
     // Orders arrive one at a time.
     for t in full.relation(3).tuples() {
-        engine.insert_and_deduce(vec![t.clone()]);
+        engine.apply_update(vec![t.clone()], &[]);
     }
     let mut incremental = engine.into_outcome();
     let mut scratch = s.run_sequential(&full);
@@ -95,10 +95,10 @@ fn incremental_customer_arrivals_on_generated_data() {
         }
     }
     let mut engine = s.incremental_engine(&base).unwrap();
-    engine.run_local_fixpoint();
+    engine.update_fixpoint();
     let held: Vec<_> = customers[customers.len() - holdback..].to_vec();
     for chunk in held.chunks(7) {
-        engine.insert_and_deduce(chunk.to_vec());
+        engine.apply_update(chunk.to_vec(), &[]);
     }
     let mut incremental = engine.into_outcome();
     let mut scratch = s.run_sequential(&full);

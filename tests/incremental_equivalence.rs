@@ -4,7 +4,8 @@
 //! engines converge to the closure a from-scratch run computes over the
 //! final dataset. Pins both the distributed [`UpdateSession`] (worker
 //! counts 1/2/4/8: delta routing, retraction notices, rederive exchange)
-//! and the single-engine `incremental_engine` + `apply_update` path.
+//! and the single-engine `incremental_engine` + `apply_update` path, booted
+//! either over the base rows or empty with the base rows as its first batch.
 //! Each case also picks a predicate window width (1 / 7 / 1024) for the
 //! resident engines, while the from-scratch oracle always runs width 1 —
 //! so incremental maintenance over wide windows is cross-pinned against
@@ -174,13 +175,17 @@ proptest! {
     }
 
     /// Sequential path: a resident [`dcer_chase::ChaseEngine`] fed the same
-    /// batches through `apply_update` agrees with from-scratch, too.
+    /// batches through `apply_update` agrees with from-scratch, too. With
+    /// `boot_empty` the engine is built over an empty dataset of the same
+    /// catalog and the base rows arrive as its first `apply_update` batch:
+    /// booting is then just an admit into an empty engine.
     #[test]
     fn resident_engine_matches_scratch_for_any_interleaving(
         rows_p in prop::collection::vec((0u8..5, 0u8..4, 0u8..4), 2..7),
         rows_q in prop::collection::vec((0u8..4, 0u8..3), 0..4),
         stream in stream_strategy(),
         batch_sel in 0usize..3,
+        boot_empty in any::<bool>(),
     ) {
         let s = session().with_chase_config(batch_configs()[batch_sel].clone());
         let s_width_one = session().with_chase_config(batch_configs()[0].clone());
@@ -188,8 +193,17 @@ proptest! {
         // the authoritative tuple ids for each batch's inserts.
         let mut shadow = build(&rows_p, &rows_q);
         let mut all: Vec<Tid> = base_tids(&shadow);
-        let mut engine = s.incremental_engine(&shadow).unwrap();
-        engine.run_local_fixpoint();
+        let mut engine = if boot_empty {
+            let mut engine = s.incremental_engine(&Dataset::new(catalog())).unwrap();
+            let base: Vec<Tuple> =
+                all.iter().map(|&tid| shadow.tuple(tid).unwrap().clone()).collect();
+            engine.apply_update(base, &[]);
+            engine
+        } else {
+            let mut engine = s.incremental_engine(&shadow).unwrap();
+            engine.update_fixpoint();
+            engine
+        };
         for (bi, ops) in stream.iter().enumerate() {
             let batch = to_batch(ops, &all);
             let report = shadow.apply_update(&batch).unwrap();
@@ -202,12 +216,12 @@ proptest! {
             let mut want = s_width_one.run_sequential(&shadow);
             prop_assert_eq!(
                 resident.matches.clusters(), want.matches.clusters(),
-                "clusters diverged at batch {}", bi
+                "clusters diverged at batch {} (boot_empty={})", bi, boot_empty
             );
             prop_assert_eq!(
                 resident.validated.iter().copied().collect::<BTreeSet<_>>(),
                 validated_set(&want),
-                "validated facts diverged at batch {}", bi
+                "validated facts diverged at batch {} (boot_empty={})", bi, boot_empty
             );
         }
     }
