@@ -1,31 +1,27 @@
-//! HyPart partitioning benchmark: the sharded parallel distribution scan
-//! versus the sequential reference implementation.
+//! HyPart partitioning benchmark: absolute wall time of `partition` on
+//! shared [`WorkPool`]s of 1 lane, of the host's `cores` lanes and of 8
+//! lanes — each pool spawned once and reused across every iteration, as a
+//! session would.
 //!
-//! Three wall-clock measurements (sequential reference, the pooled code
-//! path pinned to one lane, the pooled code path on a shared 8-lane
-//! [`WorkPool`] — spawned once, reused across every iteration, as a
-//! session would) plus simulated
-//! 1- and 8-shard makespans from [`dcer_hypart::partition_timed`] in
-//! [`dcer_hypart::ShardExecution::Simulated`] mode, where each shard is
-//! timed uncontended and the makespan is what a machine with one core per
-//! shard would see.
-//!
-//! The headline `speedup_8t` uses the threaded wall-clock ratio when the
-//! host actually has ≥ 8 cores, and the simulated-makespan ratio otherwise
-//! (recorded honestly in `speedup_mode`/`cores`); `seq_regression` is the
-//! 1-thread new path over the reference — the refactor must not tax the
-//! sequential case. Results go to `BENCH_hypart_partition.json` at the
-//! workspace root (or, with `HYPART_PARTITION_QUICK` set, a reduced run to
+//! Before timing, the bench asserts that the three lane counts produce the
+//! identical [`Partition`] (fragments row by row, hosts, rule masks,
+//! stats). It then reports the medians `par_1t_ns`, `par_cores_ns` and
+//! `par_8t_ns` with the real `cores`, plus `speedup_cores` and
+//! `speedup_8t_threaded` (1-lane time over the `cores`- and 8-lane times).
+//! When `cores` is 1 or 8 the `cores`-lane pool is one of the other two,
+//! so it is not timed twice and `par_cores_ns` repeats that median.
+//! Results go to `BENCH_hypart_partition.json` at the workspace root (or,
+//! with `HYPART_PARTITION_QUICK` set, a reduced run to
 //! `results/BENCH_hypart_partition_quick.json` for the CI smoke job).
 //!
-//! All measured variants run **interleaved, round-robin, medians reported**
-//! rather than criterion-style back-to-back blocks: the ratios here compare
-//! runs ~0.5 s apart instead of ~10 s apart, so slow host drift (thermal
+//! All variants run **interleaved, round-robin, medians reported** rather
+//! than criterion-style back-to-back blocks: the ratios compare runs
+//! ~0.5 s apart instead of ~10 s apart, so slow host drift (thermal
 //! throttling, shared-tenancy noise — observed at ±40% across minutes on
-//! small cloud boxes) cancels out of `seq_regression` and the speedups
-//! instead of masquerading as a code change.
+//! small cloud boxes) cancels out of the speedups instead of masquerading
+//! as a code change.
 
-use dcer_hypart::{partition, partition_reference, partition_timed, HyPartConfig, ShardExecution};
+use dcer_hypart::{partition, HyPartConfig, Partition};
 use dcer_mrl::{parse_rules, RuleSet};
 use dcer_pool::WorkPool;
 use dcer_relation::{Catalog, Dataset, RelationSchema, ValueType};
@@ -60,20 +56,16 @@ fn workload(rows: usize) -> (Dataset, RuleSet) {
     (d, rules)
 }
 
-fn config(workers: usize, threads: usize, execution: ShardExecution) -> HyPartConfig {
-    let mut cfg = HyPartConfig::new(workers);
-    cfg.threads = threads;
-    cfg.execution = execution;
-    cfg
-}
-
-/// Like [`config`], but running on a caller-owned shared pool — the
-/// steady-state session shape, where the lanes are spawned once and every
-/// `partition` call reuses them instead of paying thread startup per run.
-fn config_pooled(workers: usize, threads: usize, pool: &Arc<WorkPool>) -> HyPartConfig {
-    let mut cfg = config(workers, threads, ShardExecution::Threaded);
-    cfg.pool = Some(Arc::clone(pool));
-    cfg
+fn assert_identical(a: &Partition, b: &Partition, lanes: usize) {
+    assert_eq!(a.fragments.len(), b.fragments.len());
+    for (fa, fb) in a.fragments.iter().zip(&b.fragments) {
+        for (ra, rb) in fa.relations().iter().zip(fb.relations()) {
+            assert_eq!(ra.tuples(), rb.tuples(), "fragment rows diverged at {lanes} lanes");
+        }
+    }
+    assert_eq!(a.hosts, b.hosts, "hosts diverged at {lanes} lanes");
+    assert_eq!(a.rule_masks, b.rule_masks, "rule masks diverged at {lanes} lanes");
+    assert_eq!(a.stats, b.stats, "stats diverged at {lanes} lanes");
 }
 
 fn main() {
@@ -81,104 +73,66 @@ fn main() {
     let rows = if quick { 4_000 } else { 25_000 };
     let samples = if quick { 10 } else { 15 };
     let workers = 8;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let (d, rules) = workload(rows);
+    let mut lane_counts = vec![1, cores, 8];
+    lane_counts.dedup();
+    let configs: Vec<HyPartConfig> = lane_counts
+        .iter()
+        .map(|&lanes| {
+            let mut cfg = HyPartConfig::new(workers);
+            cfg.pool = Some(Arc::new(WorkPool::new(lanes)));
+            cfg
+        })
+        .collect();
 
-    // Parity guard before timing anything: the parallel path must be
-    // bit-identical to the reference on the bench dataset.
-    let pool_1 = Arc::new(WorkPool::new(1));
-    let pool_8 = Arc::new(WorkPool::new(8));
-
-    let oracle = partition_reference(&d, &rules, &HyPartConfig::new(workers));
-    for (threads, pool) in [(1, &pool_1), (8, &pool_8)] {
-        let p = partition(&d, &rules, &config(workers, threads, ShardExecution::Threaded));
-        assert_eq!(p.stats, oracle.stats, "parallel path diverged at {threads} threads");
-        let p = partition(&d, &rules, &config_pooled(workers, threads, pool));
-        assert_eq!(p.stats, oracle.stats, "pooled path diverged at {threads} lanes");
+    let one_lane = partition(&d, &rules, &configs[0]);
+    for (cfg, &lanes) in configs.iter().zip(&lane_counts).skip(1) {
+        assert_identical(&partition(&d, &rules, cfg), &one_lane, lanes);
     }
 
-    // Interleaved rounds: every variant runs once per round, so each ratio
+    // Interleaved rounds: every pool runs once per round, so each ratio
     // compares timings taken moments apart (see the header on host drift).
-    // The simulated makespans come from `partition_timed`, which times each
-    // shard uncontended; they ride the same rounds for the same reason.
-    let time = |f: &dyn Fn()| -> u64 {
-        let t = Instant::now();
-        f();
-        t.elapsed().as_nanos() as u64
-    };
-    let mut rounds: [Vec<u64>; 5] = Default::default();
+    let mut rounds: Vec<Vec<u64>> = vec![Vec::new(); configs.len()];
     for _ in 0..samples {
-        rounds[0].push(time(&|| {
-            black_box(partition_reference(&d, &rules, &HyPartConfig::new(workers)));
-        }));
-        rounds[1].push(time(&|| {
-            black_box(partition(&d, &rules, &config_pooled(workers, 1, &pool_1)));
-        }));
-        rounds[2].push(time(&|| {
-            black_box(partition(&d, &rules, &config_pooled(workers, 8, &pool_8)));
-        }));
-        for (slot, threads) in [(3usize, 1usize), (4, 8)] {
-            let (_, t) =
-                partition_timed(&d, &rules, &config(workers, threads, ShardExecution::Simulated));
-            rounds[slot].push(t.makespan_ns());
+        for (cfg, times) in configs.iter().zip(&mut rounds) {
+            let t = Instant::now();
+            black_box(partition(&d, &rules, cfg));
+            times.push(t.elapsed().as_nanos() as u64);
         }
     }
-    let median = |lane: &[u64]| -> f64 {
-        let mut v = lane.to_vec();
-        v.sort_unstable();
-        let mid = v.len() / 2;
-        if v.len() % 2 == 1 {
-            v[mid] as f64
-        } else {
-            (v[mid - 1] + v[mid]) as f64 / 2.0
-        }
-    };
-    let [seq, par_1t, par_8t, sim_1t, sim_8t] = rounds.each_ref().map(|lane| median(lane));
-    for (name, ns) in [
-        ("partition/seq_reference", seq),
-        ("partition/par_1t", par_1t),
-        ("partition/par_8t", par_8t),
-        ("partition/sim_makespan_1t", sim_1t),
-        ("partition/sim_makespan_8t", sim_8t),
-    ] {
+    let medians: Vec<f64> = rounds
+        .iter_mut()
+        .map(|v| {
+            v.sort_unstable();
+            let mid = v.len() / 2;
+            if v.len() % 2 == 1 {
+                v[mid] as f64
+            } else {
+                (v[mid - 1] + v[mid]) as f64 / 2.0
+            }
+        })
+        .collect();
+    let at = |lanes: usize| medians[lane_counts.iter().position(|&l| l == lanes).unwrap()];
+    let (par_1t, par_cores, par_8t) = (at(1), at(cores), at(8));
+    for (lanes, ns) in lane_counts.iter().zip(&medians) {
+        let name = format!("partition/pool_{lanes}");
         eprintln!("bench: {name:<48} {ns:>14.1} ns/iter (median of {samples})");
     }
 
-    write_report(rows, workers, [seq, par_1t, par_8t, sim_1t, sim_8t], quick);
-}
-
-fn write_report(rows: usize, workers: usize, medians: [f64; 5], quick: bool) {
     use serde_json::{Map, Value};
-
-    let [seq, par_1t, par_8t, sim_1t, sim_8t] = medians;
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup_threaded = seq / par_8t;
-    let speedup_simulated = sim_1t / sim_8t;
-    // The threaded ratio is only meaningful with enough physical cores;
-    // otherwise report the simulated-makespan ratio and say so.
-    let (speedup_8t, mode) = if cores >= 8 {
-        (speedup_threaded, "threaded_wall")
-    } else {
-        (speedup_simulated, "simulated_makespan")
-    };
-
     let mut root = Map::new();
     root.insert("bench", Value::from("hypart_partition"));
     root.insert("rows_per_relation", Value::from(rows));
     root.insert("workers", Value::from(workers));
     root.insert("quick", Value::from(quick));
     root.insert("cores", Value::from(cores));
-    root.insert("seq_reference_ns", Value::from(seq));
     root.insert("par_1t_ns", Value::from(par_1t));
+    root.insert("par_cores_ns", Value::from(par_cores));
     root.insert("par_8t_ns", Value::from(par_8t));
-    root.insert("sim_makespan_1t_ns", Value::from(sim_1t));
-    root.insert("sim_makespan_8t_ns", Value::from(sim_8t));
-    root.insert("speedup_8t_threaded", Value::from(speedup_threaded));
-    root.insert("speedup_8t_simulated", Value::from(speedup_simulated));
-    root.insert("speedup_8t", Value::from(speedup_8t));
-    root.insert("speedup_mode", Value::from(mode));
-    root.insert("seq_regression", Value::from(par_1t / seq));
+    root.insert("speedup_cores", Value::from(par_1t / par_cores));
+    root.insert("speedup_8t_threaded", Value::from(par_1t / par_8t));
 
     let path = if quick {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");

@@ -211,7 +211,6 @@ impl UpdateSession {
         let t0 = Instant::now();
         let mut hp = HyPartConfig::new(config.workers);
         hp.use_mqo = config.use_mqo;
-        hp.threads = pool.size();
         hp.pool = Some(Arc::clone(pool));
         if let Some(v) = config.virtual_factor {
             hp.virtual_factor = v;

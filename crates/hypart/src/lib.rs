@@ -28,7 +28,6 @@ pub mod shares;
 pub use balance::lpt_assign;
 pub use hash::HashMemo;
 pub use partitioner::{
-    partition, partition_reference, partition_timed, partition_with_router, DeltaRouter,
-    DistTimings, HyPartConfig, Partition, PartitionStats, ShardExecution,
+    partition, partition_with_router, DeltaRouter, HyPartConfig, Partition, PartitionStats,
 };
 pub use shares::allocate_shares;

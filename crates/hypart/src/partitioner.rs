@@ -11,14 +11,19 @@
 //! a transient one otherwise). Task `s` of `T` owns a fixed row range of
 //! every relation (`[len·s/T, len·(s+1)/T)`), so a given tuple is always
 //! hashed by the same task; each task carries its own [`HashMemo`], which
-//! therefore sees exactly the lookups the single sequential memo would see
-//! for those rows, and the summed computed/hit counters are identical at
-//! every thread count. Tasks emit `(cell, tid, rule mask)` runs
+//! therefore sees exactly the lookups the one-lane run's single memo would
+//! see for those rows, and the summed computed/hit counters are identical
+//! at every lane count. Tasks emit `(cell, tid, rule mask)` runs
 //! pre-bucketed by `cell % classes`; runs are merged per cell class in
 //! fixed task order, and rule masks combine by bitwise OR, so the
 //! resulting [`Partition`] — fragments, rule masks, hosts, stats — is
-//! bit-identical to the sequential result at any thread count (see the
-//! `parallel_parity` proptest).
+//! bit-identical at every lane count.
+//!
+//! A one-lane pool runs everything inline, in order, as a single scan task
+//! with one memo emitting straight into the cell table: that path is the
+//! oracle the multi-lane runs are compared with (`parallel_parity`,
+//! `steal_skew`, `tests/hypart_locality.rs`), and `tests/golden.rs` pins
+//! its output to a committed file.
 //!
 //! The task count oversubscribes the lane count by the modeled per-row
 //! cost variance (wide rules' broadcast products dominate), giving the
@@ -43,21 +48,6 @@ use dcer_relation::{Dataset, Tid};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// How the partitioner's shard closures execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardExecution {
-    /// Scoped OS threads, one per shard (the production mode).
-    #[default]
-    Threaded,
-    /// Run shards sequentially on the calling thread, timing each one — the
-    /// counterpart of the BSP layer's simulated executor: per-shard work is
-    /// measured without contention, so [`DistTimings::makespan_ns`] reports
-    /// the makespan an actually-parallel machine would see. Output is
-    /// identical to `Threaded`.
-    Simulated,
-}
 
 /// Partitioning configuration.
 #[derive(Debug, Clone)]
@@ -79,16 +69,16 @@ pub struct HyPartConfig {
     pub skew_threshold: f64,
     /// Maximum number of refinement rounds.
     pub max_refinements: u32,
-    /// Shard (thread) count for the distribution scan, merge and fragment
-    /// build. `0` means one per available core. The output is bit-identical
-    /// at every setting; only wall-clock changes.
+    /// Lane count for the distribution scan, merge and fragment build when
+    /// no [`pool`](Self::pool) is given; `0` means one per available core.
+    /// A caller's pool supersedes it: the pool's size is the lane count.
+    /// The output is bit-identical at every lane count; only wall-clock
+    /// changes.
     pub threads: usize,
-    /// Shard execution mode (threaded vs. timing-accurate simulation).
-    pub execution: ShardExecution,
     /// The shared work-stealing pool every parallel region runs on. `None`
     /// creates a transient pool of [`Self::effective_threads`] lanes per
-    /// `partition` call; sessions thread one pool through here so the
-    /// whole pipeline reuses the same threads.
+    /// `partition` call (one lane spawns no thread); sessions thread one
+    /// pool through here so the whole pipeline reuses the same threads.
     pub pool: Option<Arc<WorkPool>>,
 }
 
@@ -104,12 +94,12 @@ impl HyPartConfig {
             skew_threshold: 3.0,
             max_refinements: 2,
             threads: 0,
-            execution: ShardExecution::Threaded,
             pool: None,
         }
     }
 
-    /// Resolved shard count: `threads`, or one per available core.
+    /// Resolved lane count without a pool: `threads`, or one per available
+    /// core.
     pub fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
@@ -188,60 +178,6 @@ impl PartitionStats {
         for (i, &size) in self.fragment_sizes.iter().enumerate() {
             dcer_obs::gauge_set_labeled("hypart.fragment_tuples", i as u32, size as f64);
         }
-    }
-}
-
-/// Per-region wall times of one [`partition_timed`] call. Parallel regions
-/// (scan, merge, fragment build) record one entry per unit; everything else
-/// — geometry, LPT, routing table, stats — is sequential residue.
-///
-/// In [`ShardExecution::Simulated`] mode the units run back to back on one
-/// thread, so each entry is an uncontended measurement and
-/// [`DistTimings::makespan_ns`] is the wall time a machine with one core
-/// per unit would see. In `Threaded` mode entries are wall times of
-/// concurrently running threads (contended on small machines) and the
-/// makespan is only a lower-bound estimate.
-#[derive(Debug, Clone, Default)]
-pub struct DistTimings {
-    /// Per scan task, summed over refinement iterations.
-    pub scan_ns: Vec<u64>,
-    /// Per merge class (cell `% threads`), summed over iterations.
-    pub merge_ns: Vec<u64>,
-    /// Per output worker (fragment + rule-mask build).
-    pub fragment_ns: Vec<u64>,
-    /// Per host-table bucket (routing-table build).
-    pub assemble_ns: Vec<u64>,
-    /// Wall time of the whole `partition` call.
-    pub total_ns: u64,
-}
-
-impl DistTimings {
-    /// Simulated parallel wall time: sequential residue plus the longest
-    /// unit of each parallel region.
-    pub fn makespan_ns(&self) -> u64 {
-        let spent: u64 = self.scan_ns.iter().sum::<u64>()
-            + self.merge_ns.iter().sum::<u64>()
-            + self.fragment_ns.iter().sum::<u64>()
-            + self.assemble_ns.iter().sum::<u64>();
-        let residue = self.total_ns.saturating_sub(spent);
-        residue
-            + self.scan_ns.iter().copied().max().unwrap_or(0)
-            + self.merge_ns.iter().copied().max().unwrap_or(0)
-            + self.fragment_ns.iter().copied().max().unwrap_or(0)
-            + self.assemble_ns.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Publish per-region totals as `hypart.parallel.*` counters.
-    fn publish(&self, threads: usize) {
-        if !dcer_obs::enabled() {
-            return;
-        }
-        dcer_obs::gauge_set("hypart.parallel.threads", threads as f64);
-        dcer_obs::counter_add("hypart.parallel.scan_ns", self.scan_ns.iter().sum());
-        dcer_obs::counter_add("hypart.parallel.merge_ns", self.merge_ns.iter().sum());
-        dcer_obs::counter_add("hypart.parallel.fragment_ns", self.fragment_ns.iter().sum());
-        dcer_obs::counter_add("hypart.parallel.assemble_ns", self.assemble_ns.iter().sum());
-        dcer_obs::counter_add("hypart.parallel.total_ns", self.total_ns);
     }
 }
 
@@ -452,7 +388,7 @@ fn scan_task_weights(dataset: &Dataset, geoms: &[&RuleGeometry], tasks: usize) -
     weights
 }
 
-/// Scan-task oversubscription factor for the threaded path: the average
+/// Scan-task oversubscription factor for multi-lane runs: the average
 /// modeled cost per scanned row — a proxy for how much per-row cost varies
 /// across the rule set — clamped to `[2, 8]`. More tasks than lanes gives
 /// stealing room to absorb what the contiguous split misses. A pure
@@ -487,30 +423,26 @@ struct CachedRule {
     lookups: u64,
 }
 
-/// Scan shard `shard`'s row ranges for every rule/role, emitting one
+/// The one-lane scan: every row of every rule/role, emitting one
 /// `(cell, tid, rule mask)` triple per generated replica, in a fixed
 /// (rule, role, row, broadcast-combo) order. Tombstoned rows are skipped:
 /// deleted tuples generate no replicas.
-fn scan_shard(
+fn scan_all(
     dataset: &Dataset,
     geoms: &[&RuleGeometry],
     cells: usize,
-    shard: usize,
-    shards: usize,
     memo: &mut HashMemo,
     emit: &mut impl FnMut(usize, Tid, u128),
 ) {
-    let _span = dcer_obs::span("hypart.distribute.shard").with_arg("shard", shard as u64);
+    let _span = dcer_obs::span("hypart.distribute.shard").with_arg("shard", 0);
     let mut fixed: Vec<(usize, usize)> = Vec::new();
     let mut combo: Vec<usize> = Vec::new();
     for (rule_idx, geom) in geoms.iter().enumerate() {
         let mask = rule_bit(rule_idx);
         for role in &geom.roles {
             let relation = dataset.relation(role.rel);
-            let tuples = relation.tuples();
-            let (lo, hi) = shard_range(tuples.len(), shard, shards);
-            for (off, t) in tuples[lo..hi].iter().enumerate() {
-                if !relation.is_live((lo + off) as u32) {
+            for (row, t) in relation.tuples().iter().enumerate() {
+                if !relation.is_live(row as u32) {
                     continue;
                 }
                 emit_role_cells(geom, role, mask, t, cells, memo, &mut fixed, &mut combo, emit);
@@ -527,53 +459,6 @@ fn scan_shard(
 /// JSON round-trips.
 fn hypart_flow_id(round: u32, shard: usize, class: usize) -> u64 {
     (1u64 << 49) | ((round as u64) << 40) | ((shard as u64) << 20) | class as u64
-}
-
-/// How a batch of partition units executes.
-#[derive(Clone, Copy)]
-enum Exec<'a> {
-    /// Back to back on the calling thread — sequential runs and the
-    /// [`ShardExecution::Simulated`] mode, whose per-unit timings must be
-    /// uncontended measurements.
-    Seq,
-    /// On the shared work-stealing pool (the caller participates as lane
-    /// 0; `weights` drives the contiguous weight-balanced distribution).
-    Pool(&'a WorkPool),
-}
-
-/// Run a batch of closures on `exec`, returning results in unit order and
-/// accumulating each unit's wall time into `times` (element-wise). The
-/// pool's ordered result slots make the output identical to the
-/// sequential path regardless of which lane executed what.
-fn run_units<'env, T, F>(
-    units: Vec<F>,
-    exec: Exec<'_>,
-    weights: Option<&[u64]>,
-    times: &mut [u64],
-) -> Vec<T>
-where
-    T: Send + 'env,
-    F: FnOnce() -> T + Send + 'env,
-{
-    let timed = |f: F| {
-        let t0 = Instant::now();
-        let out = f();
-        (out, t0.elapsed().as_nanos() as u64)
-    };
-    let results: Vec<(T, u64)> = match exec {
-        Exec::Pool(pool) if units.len() > 1 => {
-            pool.run(units.into_iter().map(|f| move || timed(f)).collect(), weights)
-        }
-        _ => units.into_iter().map(timed).collect(),
-    };
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(i, (out, ns))| {
-            times[i] += ns;
-            out
-        })
-        .collect()
 }
 
 /// Skew check over *non-empty* cells: whether the max load exceeds the
@@ -603,18 +488,7 @@ fn is_skewed(cell_members: &[HashMap<Tid, u128>], threshold: f64) -> bool {
 
 /// Partition `dataset` for `rules` into `config.workers` fragments.
 pub fn partition(dataset: &Dataset, rules: &RuleSet, config: &HyPartConfig) -> Partition {
-    partition_timed(dataset, rules, config).0
-}
-
-/// [`partition`] plus per-region [`DistTimings`] (used by the
-/// `hypart_partition` bench to report uncontended shard makespans).
-pub fn partition_timed(
-    dataset: &Dataset,
-    rules: &RuleSet,
-    config: &HyPartConfig,
-) -> (Partition, DistTimings) {
-    let (partition, timings, _) = partition_inner(dataset, rules, config, false);
-    (partition, timings)
+    partition_inner(dataset, rules, config, false).0
 }
 
 /// [`partition`] plus a [`DeltaRouter`] frozen on the winning geometry:
@@ -626,7 +500,7 @@ pub fn partition_with_router(
     rules: &RuleSet,
     config: &HyPartConfig,
 ) -> (Partition, DeltaRouter) {
-    let (partition, _, router) = partition_inner(dataset, rules, config, true);
+    let (partition, router) = partition_inner(dataset, rules, config, true);
     (partition, router.expect("router requested"))
 }
 
@@ -635,23 +509,23 @@ fn partition_inner(
     rules: &RuleSet,
     config: &HyPartConfig,
     want_router: bool,
-) -> (Partition, DistTimings, Option<DeltaRouter>) {
+) -> (Partition, Option<DeltaRouter>) {
     assert!(config.workers > 0);
-    let wall = Instant::now();
     let qp = QueryPlan::build(rules);
     let plan = assign_hashes(rules, &qp, config.use_mqo);
 
-    let threads = config.effective_threads().max(1);
-    let parallel = threads > 1 && config.execution == ShardExecution::Threaded;
-    // Every parallel region runs on one pool: the session-wide one when the
-    // caller threaded it through the config, a transient one otherwise.
-    let transient = (parallel && config.pool.is_none()).then(|| Arc::new(WorkPool::new(threads)));
-    let pool: Option<&WorkPool> =
-        if parallel { config.pool.as_deref().or(transient.as_deref()) } else { None };
-    let exec = match pool {
-        Some(p) => Exec::Pool(p),
-        None => Exec::Seq,
+    // Every parallel region runs on one pool, whose size is the lane count:
+    // the caller's when one is threaded through the config, a transient one
+    // otherwise.
+    let transient;
+    let pool: &WorkPool = match &config.pool {
+        Some(pool) => pool,
+        None => {
+            transient = WorkPool::new(config.effective_threads());
+            &transient
+        }
     };
+    let threads = pool.size();
 
     // Merge classes (and host-table buckets) match the lane count; the scan
     // task count is set on the first iteration from the cost model.
@@ -659,13 +533,6 @@ fn partition_inner(
     let mut memos: Vec<HashMemo> = Vec::new();
     let mut caches: Vec<HashMap<usize, CachedRule>> = Vec::new();
     let mut geom_cache: HashMap<(usize, usize), RuleGeometry> = HashMap::new();
-    let mut timings = DistTimings {
-        scan_ns: Vec::new(), // sized once the scan task count is known
-        merge_ns: vec![0; classes],
-        fragment_ns: vec![0; config.workers],
-        assemble_ns: vec![0; classes],
-        total_ns: 0,
-    };
 
     let mut cells = (config.workers * config.virtual_factor.max(1))
         .clamp(config.workers, config.max_cells.max(config.workers));
@@ -687,30 +554,26 @@ fn partition_inner(
             .map(|i| &geom_cache[&(i, effective_cells(rules, i, cells, config.workers))])
             .collect();
 
-        // Scan task count: lanes × cost-model oversubscription when
-        // threaded, one per lane otherwise. Fixed on the first iteration —
-        // per-task memos (and raw caches) must keep their row ranges across
-        // refinement doublings for counter parity.
+        // Scan task count: lanes × cost-model oversubscription, or one task
+        // on one lane. Fixed on the first iteration — per-task memos (and
+        // raw caches) must keep their row ranges across refinement doublings
+        // for counter parity.
         if memos.is_empty() {
-            let tasks =
-                if parallel { threads * oversubscription(dataset, &geoms) } else { threads };
+            let tasks = if threads > 1 { threads * oversubscription(dataset, &geoms) } else { 1 };
             memos = (0..tasks).map(|_| HashMemo::new()).collect();
             caches = (0..tasks).map(|_| HashMap::new()).collect();
-            timings.scan_ns = vec![0; tasks];
         }
         let tasks = memos.len();
 
         let (cell_members, generated) = if tasks == 1 {
-            // Single task: emit straight into the cell table, exactly like
-            // the sequential reference.
-            let t0 = Instant::now();
+            // One lane: one task with one memo emits straight into the cell
+            // table — the oracle path.
             let mut cm: Vec<HashMap<Tid, u128>> = vec![HashMap::new(); cells];
             let mut generated = 0u64;
-            scan_shard(dataset, &geoms, cells, 0, 1, &mut memos[0], &mut |cell, tid, mask| {
+            scan_all(dataset, &geoms, cells, &mut memos[0], &mut |cell, tid, mask| {
                 *cm[cell].entry(tid).or_insert(0) |= mask;
                 generated += 1;
             });
-            timings.scan_ns[0] += t0.elapsed().as_nanos() as u64;
             (cm, generated)
         } else {
             // Task-sharded scan: each task hashes a disjoint row range of
@@ -794,7 +657,7 @@ fn partition_inner(
                     }
                 })
                 .collect();
-            let mut runs = run_units(units, exec, Some(&weights), &mut timings.scan_ns);
+            let mut runs = pool.run(units, Some(&weights));
             let generated: u64 =
                 runs.iter().map(|r| r.iter().map(|b| b.len() as u64).sum::<u64>()).sum();
 
@@ -834,7 +697,7 @@ fn partition_inner(
                     }
                 })
                 .collect();
-            let merged = run_units(merge_units, exec, Some(&merge_weights), &mut timings.merge_ns);
+            let merged = pool.run(merge_units, Some(&merge_weights));
             let mut cm: Vec<HashMap<Tid, u128>> = vec![HashMap::new(); cells];
             for (class, maps) in merged.into_iter().enumerate() {
                 for (slot, map) in maps.into_iter().enumerate() {
@@ -855,9 +718,7 @@ fn partition_inner(
         break (cell_members, cells, generated);
     };
 
-    let hash_computations: u64 = memos.iter().map(HashMemo::computed).sum();
-    let hash_memo_hits: u64 = memos.iter().map(HashMemo::hits).sum();
-    let partition = assemble(
+    let (partition, loads, assignment) = assemble(
         dataset,
         &plan,
         config,
@@ -865,14 +726,10 @@ fn partition_inner(
         cells,
         refinements,
         generated,
-        hash_computations,
-        hash_memo_hits,
-        exec,
-        &mut timings,
+        &memos,
+        pool,
     );
     let router = want_router.then(|| {
-        let loads: Vec<u64> = cell_members.iter().map(|c| c.len() as u64).collect();
-        let assignment = lpt_assign(&loads, config.workers);
         let geoms: Vec<RuleGeometry> = (0..rules.len())
             .map(|i| {
                 geom_cache
@@ -893,9 +750,7 @@ fn partition_inner(
             deleted: Default::default(),
         }
     });
-    timings.total_ns = wall.elapsed().as_nanos() as u64;
-    timings.publish(threads);
-    (partition, timings, router)
+    (partition, router)
 }
 
 /// Routes CDC deltas through a frozen partition geometry, avoiding the
@@ -1013,74 +868,10 @@ impl DeltaRouter {
     }
 }
 
-/// The sequential reference partitioner: the original single-threaded
-/// nested-loop implementation (geometry rebuilt every refinement
-/// iteration, one global memo, direct cell-table accumulation). Kept as
-/// the parity oracle for the `parallel_parity` proptests and as the
-/// baseline the `hypart_partition` bench measures `seq_regression`
-/// against. Produces a [`Partition`] bit-identical to [`partition`].
-pub fn partition_reference(dataset: &Dataset, rules: &RuleSet, config: &HyPartConfig) -> Partition {
-    assert!(config.workers > 0);
-    let qp = QueryPlan::build(rules);
-    let plan = assign_hashes(rules, &qp, config.use_mqo);
-
-    let mut cells = (config.workers * config.virtual_factor.max(1))
-        .clamp(config.workers, config.max_cells.max(config.workers));
-    let mut refinements = 0u32;
-    let mut memo = HashMemo::new();
-
-    let (cell_members, final_cells, generated) = loop {
-        let mut cell_members: Vec<HashMap<Tid, u128>> = vec![HashMap::new(); cells];
-        let mut generated = 0u64;
-        for rule_idx in 0..rules.len() {
-            let eff = effective_cells(rules, rule_idx, cells, config.workers);
-            let geom = build_geometry(rules, &plan, rule_idx, dataset, eff);
-            let geoms = [&geom];
-            // Reuse the shared scan body for one rule at a time so the
-            // reference exercises the identical emission order.
-            let mask_rule = rule_idx;
-            scan_shard(dataset, &geoms, cells, 0, 1, &mut memo, &mut |cell, tid, _| {
-                *cell_members[cell].entry(tid).or_insert(0) |= rule_bit(mask_rule);
-                generated += 1;
-            });
-        }
-        if refinements < config.max_refinements
-            && cells * 2 <= config.max_cells
-            && is_skewed(&cell_members, config.skew_threshold)
-        {
-            refinements += 1;
-            cells *= 2;
-            continue;
-        }
-        break (cell_members, cells, generated);
-    };
-    let cells = final_cells;
-
-    let mut timings = DistTimings {
-        scan_ns: vec![0; 1],
-        merge_ns: vec![0; 1],
-        fragment_ns: vec![0; config.workers],
-        assemble_ns: vec![0; 1],
-        total_ns: 0,
-    };
-    assemble(
-        dataset,
-        &plan,
-        config,
-        &cell_members,
-        cells,
-        refinements,
-        generated,
-        memo.computed(),
-        memo.hits(),
-        Exec::Seq,
-        &mut timings,
-    )
-}
-
-/// Shared back half of both partitioners: LPT cell assignment, per-worker
-/// fragment + rule-mask build, routing-table build (both on `exec`),
-/// orphan adoption, stats.
+/// Back half of the partitioner: LPT cell assignment, per-worker fragment
+/// and rule-mask build, routing-table build (both on `pool`), orphan
+/// adoption, stats. Also returns the per-cell loads and the LPT assignment,
+/// which a [`DeltaRouter`] freezes.
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     dataset: &Dataset,
@@ -1090,11 +881,9 @@ fn assemble(
     cells: usize,
     refinements: u32,
     generated: u64,
-    hash_computations: u64,
-    hash_memo_hits: u64,
-    exec: Exec<'_>,
-    timings: &mut DistTimings,
-) -> Partition {
+    memos: &[HashMemo],
+    pool: &WorkPool,
+) -> (Partition, Vec<u64>, Vec<usize>) {
     let _assign = dcer_obs::span("hypart.assign").with_arg("cells", cells as u64);
     // LPT-assign cells to workers.
     let loads: Vec<u64> = cell_members.iter().map(|c| c.len() as u64).collect();
@@ -1111,7 +900,6 @@ fn assemble(
     // reproducing the sequential insertion order exactly. Units are
     // weighted by their worker's LPT-assigned load, and additionally bucket
     // their hosted tuples by `tid % T` for the routing-table build below.
-    let assignment = &assignment;
     let frag_weights: Vec<u64> = {
         let mut w = vec![0u64; config.workers];
         for (cell, &a) in assignment.iter().enumerate() {
@@ -1119,7 +907,8 @@ fn assemble(
         }
         w
     };
-    let host_tasks = timings.assemble_ns.len().max(1);
+    let host_tasks = pool.size();
+    let assignment_ref = &assignment;
     let units: Vec<_> = (0..config.workers)
         .map(|w| {
             move || {
@@ -1127,7 +916,7 @@ fn assemble(
                 let mut fragment = Dataset::new(dataset.catalog().clone());
                 let mut masks: HashMap<Tid, u128> = HashMap::new();
                 for (cell, members) in cell_members.iter().enumerate() {
-                    if assignment[cell] != w {
+                    if assignment_ref[cell] != w {
                         continue;
                     }
                     let mut sorted: Vec<(Tid, u128)> =
@@ -1147,13 +936,13 @@ fn assemble(
             }
         })
         .collect();
-    let built = run_units(units, exec, Some(&frag_weights), &mut timings.fragment_ns);
+    let built = pool.run(units, Some(&frag_weights));
 
     // Routing table: each worker's mask keys are exactly its hosted
     // tuples. Bucket `k` owns the tuples with `tid % T == k`, so the
     // partial maps are disjoint and merge by plain extension; each bucket
     // visits workers in ascending order, keeping every host list sorted —
-    // the same content the old sequential loop produced.
+    // the same content a one-lane run produces.
     let built_ref = &built;
     let host_units: Vec<_> = (0..host_tasks)
         .map(|k| {
@@ -1171,7 +960,7 @@ fn assemble(
         .collect();
     let host_weights: Vec<u64> =
         (0..host_tasks).map(|k| built.iter().map(|(_, _, kb)| kb[k].len() as u64).sum()).collect();
-    let parts = run_units(host_units, exec, Some(&host_weights), &mut timings.assemble_ns);
+    let parts = pool.run(host_units, Some(&host_weights));
     let mut hosts: HashMap<Tid, Vec<u16>> = HashMap::with_capacity(dataset.total_tuples());
     for part in parts {
         hosts.extend(part);
@@ -1204,8 +993,8 @@ fn assemble(
         workers: config.workers,
         cells,
         generated_tuples: generated,
-        hash_computations,
-        hash_memo_hits,
+        hash_computations: memos.iter().map(HashMemo::computed).sum(),
+        hash_memo_hits: memos.iter().map(HashMemo::hits).sum(),
         replication_factor: if dataset.total_live() == 0 {
             0.0
         } else {
@@ -1217,7 +1006,7 @@ fn assemble(
         sharing: plan.stats,
     };
     stats.publish();
-    Partition { fragments, hosts, rule_masks, stats }
+    (Partition { fragments, hosts, rule_masks, stats }, loads, assignment)
 }
 
 #[cfg(test)]
@@ -1344,21 +1133,34 @@ mod tests {
     }
 
     #[test]
-    fn parallel_output_matches_reference_at_every_thread_count() {
+    fn parallel_output_matches_one_lane_at_every_thread_count() {
         let d = dataset(30);
         let rs = rules();
         for workers in [1, 3, 4] {
-            let oracle = partition_reference(&d, &rs, &HyPartConfig::new(workers));
-            for threads in [1, 2, 4, 8] {
+            let oracle = partition(&d, &rs, &with_threads(workers, 1));
+            for threads in [2, 4, 8] {
                 let p = partition(&d, &rs, &with_threads(workers, threads));
                 assert_partitions_identical(&p, &oracle);
-                let mut sim = with_threads(workers, threads);
-                sim.execution = ShardExecution::Simulated;
-                let (ps, timings) = partition_timed(&d, &rs, &sim);
-                assert_partitions_identical(&ps, &oracle);
-                assert!(timings.makespan_ns() <= timings.total_ns);
             }
         }
+    }
+
+    #[test]
+    fn a_callers_pool_sets_the_lane_count() {
+        // `threads` only sizes a transient pool: with a caller's pool, the
+        // pool's size is the lane count, whatever `threads` says.
+        let d = dataset(30);
+        let rs = rules();
+        let run = |threads: usize| {
+            let pool = Arc::new(WorkPool::new(4));
+            let mut cfg = with_threads(3, threads);
+            cfg.pool = Some(Arc::clone(&pool));
+            (partition(&d, &rs, &cfg), pool.stats().tasks)
+        };
+        let (auto, auto_tasks) = run(0);
+        let (four, four_tasks) = run(4);
+        assert_eq!(auto_tasks, four_tasks, "threads: 0 must take the pool's 4 lanes");
+        assert_partitions_identical(&auto, &four);
     }
 
     #[test]
@@ -1659,16 +1461,16 @@ mod tests {
                 assert!(!f.relation(victim.rel).contains(victim));
             }
         }
-        // Reference partitioner agrees.
-        let r = partition_reference(&d, &rs, &HyPartConfig::new(2));
-        assert!(!r.hosts.contains_key(&victim));
+        // The one-lane oracle agrees with the pooled run.
+        let one = partition(&d, &rs, &with_threads(2, 1));
+        assert_partitions_identical(&partition(&d, &rs, &with_threads(2, 4)), &one);
     }
 
     #[test]
     fn more_shards_than_cells_or_tuples_is_fine() {
         let d = dataset(2);
         let rs = rules();
-        let oracle = partition_reference(&d, &rs, &HyPartConfig::new(2));
+        let oracle = partition(&d, &rs, &with_threads(2, 1));
         let p = partition(&d, &rs, &with_threads(2, 16));
         assert_partitions_identical(&p, &oracle);
     }

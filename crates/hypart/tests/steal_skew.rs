@@ -16,7 +16,7 @@
 //! Lives in its own integration binary because it installs the process
 //! global recorder.
 
-use dcer_hypart::{partition, partition_reference, HyPartConfig, Partition};
+use dcer_hypart::{partition, HyPartConfig, Partition};
 use dcer_mrl::{parse_rules, RuleSet};
 use dcer_obs::{InMemoryCollector, Metric};
 use dcer_pool::WorkPool;
@@ -93,12 +93,13 @@ fn stealing_absorbs_cost_skew_and_refinement_improves_balance() {
     cfg.threads = 4;
     cfg.pool = Some(Arc::clone(&pool));
 
-    let oracle = partition_reference(&d, &rs, &cfg);
+    let one_lane = HyPartConfig { threads: 1, pool: None, ..cfg.clone() };
+    let oracle = partition(&d, &rs, &one_lane);
     let (refined, refined_balance) = partition_with_balance(&d, &rs, &cfg);
 
     // Stealing never changes the output: shard results merge in fixed
     // task order regardless of which lane ran them.
-    assert_identical(&refined, &oracle, "pooled vs. sequential reference");
+    assert_identical(&refined, &oracle, "pooled vs. one lane");
 
     let stats = pool.stats();
     assert!(stats.tasks > 0, "scan work must run on the shared pool");

@@ -3,7 +3,7 @@
 //! is fully contained in at least one fragment — for random data, random
 //! rules from a pool, any worker count, with and without MQO.
 
-use dcer_hypart::{partition, partition_reference, HyPartConfig};
+use dcer_hypart::{partition, HyPartConfig};
 use dcer_mrl::{parse_rules, Predicate, Rule, RuleSet, TupleVar};
 use dcer_relation::{Catalog, Dataset, RelationSchema, Tid, ValueType};
 use proptest::prelude::*;
@@ -105,9 +105,9 @@ proptest! {
         let p = partition(&d, &rs, &cfg);
         prop_assert_eq!(p.fragments.len(), workers);
         assert_locality(&d, &rs, &p.fragments);
-        // Parity with the sequential oracle at this thread count (the full
+        // Parity with the one-lane oracle at this thread count (the full
         // determinism proptest lives in crates/hypart/tests/parallel_parity.rs).
-        let r = partition_reference(&d, &rs, &cfg);
+        let r = partition(&d, &rs, &HyPartConfig { threads: 1, ..cfg.clone() });
         prop_assert_eq!(&p.stats, &r.stats);
         prop_assert_eq!(&p.hosts, &r.hosts);
         prop_assert_eq!(&p.rule_masks, &r.rule_masks);
