@@ -241,25 +241,6 @@ impl EvalStats {
     }
 }
 
-/// Enumerate all support valuations of `plan` in `dataset`, with variables
-/// in `seeds` pre-bound to the given rows, one candidate at a time (width
-/// 1). Returns the number of complete valuations visited.
-///
-/// Convenience wrapper: compiles a throwaway [`RuleProgram`] and scratch
-/// per call. Fixpoint loops should compile once and call
-/// [`enumerate_with_program`] to stay allocation-free.
-pub fn enumerate_valuations(
-    plan: &CompiledRule,
-    dataset: &Dataset,
-    indexes: &mut IndexSet,
-    seeds: &[(TupleVar, u32)],
-    sink: &mut dyn ValuationSink,
-) -> u64 {
-    let program = RuleProgram::compile(plan, dataset, indexes);
-    let mut scratch = EvalScratch::new();
-    enumerate_with_program(&program, plan, dataset, indexes, seeds, &mut scratch, sink, 1)
-}
-
 /// Run a compiled `program` (from [`RuleProgram::compile`] against the
 /// same `dataset` / `indexes` generation) with `seeds` pre-bound, over
 /// candidate windows of up to `batch_size` rows (clamped to ≥ 1). Returns
@@ -686,12 +667,24 @@ mod tests {
         (CompiledRule::compile(&rules, &sigs, 0), d)
     }
 
+    /// Compile `plan`'s program over `d` and enumerate at width 1.
+    fn enumerate(
+        plan: &CompiledRule,
+        d: &Dataset,
+        idx: &mut IndexSet,
+        seeds: &[(TupleVar, u32)],
+        sink: &mut dyn ValuationSink,
+    ) -> u64 {
+        let program = RuleProgram::compile(plan, d, idx);
+        enumerate_with_program(&program, plan, d, idx, seeds, &mut EvalScratch::new(), sink, 1)
+    }
+
     #[test]
     fn equi_join_enumerates_exact_matches() {
         let (plan, d) = compile("match j: R(t), S(s), t.k = s.k -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         // (R0,S0), (R1,S0), (R2,S1) — nulls never join.
         assert_eq!(n, 3);
         let mut got = sink.all;
@@ -704,7 +697,7 @@ mod tests {
         let (plan, d) = compile("match j: R(t), R(s), t.k = s.k -> t.id = s.id");
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         // k=a: rows {0,1} -> 4 pairs; k=b: row {2} -> 1 pair.
         assert_eq!(n, 5);
     }
@@ -714,7 +707,7 @@ mod tests {
         let (plan, d) = compile(r#"match j: R(t), S(s), t.k = s.k, t.v = "r2" -> dummy(t.k, s.k)"#);
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         assert_eq!(n, 1);
         assert_eq!(sink.all, vec![vec![2, 1]]);
     }
@@ -724,9 +717,9 @@ mod tests {
         let (plan, d) = compile(r#"match j: R(t), S(s), t.k = s.k, t.v = "zz" -> dummy(t.k, s.k)"#);
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
-        assert_eq!(enumerate_valuations(&plan, &d, &mut idx, &[], &mut sink), 0);
+        assert_eq!(enumerate(&plan, &d, &mut idx, &[], &mut sink), 0);
         // Seeds can't resurrect a dead program either.
-        assert_eq!(enumerate_valuations(&plan, &d, &mut idx, &[(TupleVar(0), 0)], &mut sink), 0);
+        assert_eq!(enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 0)], &mut sink), 0);
     }
 
     #[test]
@@ -734,7 +727,7 @@ mod tests {
         let (plan, d) = compile("match j: R(t), S(s) -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         assert_eq!(n, 9); // 3 x 3
     }
 
@@ -743,10 +736,10 @@ mod tests {
         let (plan, d) = compile("match j: R(t), S(s), m(t.k, s.k) -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: true };
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         assert_eq!(n, 0);
         let mut sink = Collect { all: vec![], prune_ml: false };
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         assert_eq!(n, 9);
     }
 
@@ -755,7 +748,7 @@ mod tests {
         let (plan, d) = compile("match j: R(t), S(s), t.k = s.k -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[(TupleVar(0), 1)], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 1)], &mut sink);
         assert_eq!(n, 1);
         assert_eq!(sink.all, vec![vec![1, 0]]);
     }
@@ -765,13 +758,7 @@ mod tests {
         let (plan, d) = compile("match j: R(t), S(s), t.k = s.k -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
-        let n = enumerate_valuations(
-            &plan,
-            &d,
-            &mut idx,
-            &[(TupleVar(0), 0), (TupleVar(1), 0)],
-            &mut sink,
-        );
+        let n = enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 0), (TupleVar(1), 0)], &mut sink);
         assert_eq!(n, 1);
         assert_eq!(sink.all, vec![vec![0, 0]]);
     }
@@ -782,16 +769,10 @@ mod tests {
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
         // R row 0 has k=a, S row 1 has k=b: contradiction.
-        let n = enumerate_valuations(
-            &plan,
-            &d,
-            &mut idx,
-            &[(TupleVar(0), 0), (TupleVar(1), 1)],
-            &mut sink,
-        );
+        let n = enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 0), (TupleVar(1), 1)], &mut sink);
         assert_eq!(n, 0);
         // Out-of-range seed row.
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[(TupleVar(0), 99)], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 99)], &mut sink);
         assert_eq!(n, 0);
     }
 
@@ -800,7 +781,7 @@ mod tests {
         let (plan, d) = compile(r#"match j: R(t), S(s), t.k = s.k, t.v = "r0" -> dummy(t.k, s.k)"#);
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[(TupleVar(0), 1)], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 1)], &mut sink);
         assert_eq!(n, 0);
     }
 
@@ -809,7 +790,7 @@ mod tests {
         let (plan, d) = compile("match j: R(t), S(s), R(u), t.k = s.k, s.k = u.k -> t.id = u.id");
         let mut idx = IndexSet::new();
         let mut sink = Collect { all: vec![], prune_ml: false };
-        let n = enumerate_valuations(&plan, &d, &mut idx, &[], &mut sink);
+        let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         // k=a: R{0,1} x S{0} x R{0,1} = 4; k=b: R{2} x S{1} x R{2} = 1.
         assert_eq!(n, 5);
     }

@@ -235,11 +235,6 @@ impl ChaseState {
         self.validated.contains(&Fact::ml(sig, a, b, symmetric))
     }
 
-    /// Total facts beyond reflexivity: merged pairs + validated predictions.
-    pub fn fact_count(&mut self) -> usize {
-        self.matches.num_pairs() + self.validated.len()
-    }
-
     /// The state as a canonical fact batch: every validated ML prediction
     /// plus one spanning `eq(first, t)` fact per non-trivial cluster member
     /// — the smallest set whose transitive closure rebuilds `E_id`. This is
@@ -618,7 +613,7 @@ mod tests {
         assert!(st.holds_id(t(1), t(2)));
         assert!(st.holds_ml(0, t(2), t(1), true));
         assert!(!st.holds_ml(0, t(2), t(1), false));
-        assert_eq!(st.fact_count(), 2);
+        assert_eq!((st.matches.num_pairs(), st.validated.len()), (1, 1));
     }
 
     #[test]

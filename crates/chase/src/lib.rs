@@ -47,7 +47,7 @@ pub mod union_find;
 pub use batch::{BatchStats, DeltaBatch};
 pub use deps::Pending;
 pub use engine::{run_match, ChaseConfig, ChaseEngine, ChaseOutcome, ChaseStats, UpdateDelta};
-pub use eval::{enumerate_valuations, enumerate_with_program, EvalScratch, ValuationSink};
+pub use eval::{enumerate_with_program, EvalScratch, ValuationSink};
 pub use facts::{ChaseState, Fact, MlOracle, MlSigTable};
 pub use greedy::enumerate_valuations_greedy;
 pub use naive::naive_chase;

@@ -118,18 +118,6 @@ impl MatchSet {
         }
     }
 
-    /// All members of the class of `t` (including `t`); just `[t]` if `t`
-    /// was never merged.
-    pub fn class_of(&mut self, t: Tid) -> Vec<Tid> {
-        match self.slots.get(&t).copied() {
-            Some(s) => {
-                let r = self.find(s);
-                self.members[r as usize].clone()
-            }
-            None => vec![t],
-        }
-    }
-
     /// Number of effective (class-merging) `merge` calls so far.
     pub fn merge_count(&self) -> usize {
         self.merges
@@ -260,12 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn class_of_unknown_tid_is_singleton() {
-        let mut m = MatchSet::new();
-        assert_eq!(m.class_of(t(42)), vec![t(42)]);
-    }
-
-    #[test]
     fn cross_relation_tids_stay_separate() {
         let mut m = MatchSet::new();
         m.merge(Tid::new(0, 1), Tid::new(0, 2));
@@ -280,6 +262,6 @@ mod tests {
         }
         assert!(m.are_matched(t(0), t(999)));
         assert_eq!(m.clusters().len(), 1);
-        assert_eq!(m.class_of(t(500)).len(), 1000);
+        assert_eq!(m.clusters()[0].len(), 1000);
     }
 }

@@ -10,8 +10,8 @@
 //! random small datasets (with nulls), rules, and seeds.
 
 use dcer_chase::{
-    enumerate_valuations, enumerate_valuations_greedy, enumerate_with_program, CompiledRule,
-    EvalScratch, MlSigTable, RecPred, RuleProgram, ValuationSink,
+    enumerate_valuations_greedy, enumerate_with_program, CompiledRule, EvalScratch, MlSigTable,
+    RecPred, RuleProgram, ValuationSink,
 };
 use dcer_mrl::TupleVar;
 use dcer_relation::{Catalog, Dataset, IndexSet, RelationSchema, Tuple, Value, ValueType};
@@ -101,9 +101,18 @@ fn assert_equivalent(
 
     let mut compiled_sink = Collect { all: vec![], prune_ml };
     let mut compiled_idx = IndexSet::new();
-    let cn = enumerate_valuations(plan, d, &mut compiled_idx, seeds, &mut compiled_sink);
-
     let program = RuleProgram::compile(plan, d, &mut compiled_idx);
+    let cn = enumerate_with_program(
+        &program,
+        plan,
+        d,
+        &compiled_idx,
+        seeds,
+        &mut EvalScratch::new(),
+        &mut compiled_sink,
+        1,
+    );
+
     for width in BATCH_WIDTHS {
         let mut wide_sink = Collect { all: vec![], prune_ml };
         let mut scratch = EvalScratch::new();

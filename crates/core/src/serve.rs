@@ -420,11 +420,11 @@ impl ResidentResolver {
     /// blocked by this — they keep resolving against the previous epoch
     /// until the publish.
     ///
-    /// An error means the batch was rejected: nothing was published and
-    /// the writer stops — reads keep serving the last good epoch, further
-    /// admits fail fast. An exchange that aborts under a fault plan is not
-    /// an error: the session rebuilds its fleet from the master dataset and
-    /// the admit publishes as usual.
+    /// An error means the batch was rejected before anything changed:
+    /// nothing was published, reads keep serving the current epoch and the
+    /// writer goes on admitting later batches. An exchange that aborts under
+    /// a fault plan is not an error: the session rebuilds its fleet from the
+    /// master dataset and the admit publishes as usual.
     pub fn admit(&self, batch: UpdateBatch) -> Result<AdmitReport, String> {
         let _span = dcer_obs::span("serve.admit");
         dcer_obs::counter_add("serve.admits", 1);
@@ -473,15 +473,13 @@ fn writer_loop(mut session: UpdateSession, cell: Arc<SnapshotCell>, rx: Receiver
                 }));
             }
             Err(e) => {
-                // `run_update` fails by rejecting the batch up front
-                // (master untouched — recoverable, but only the admitter
-                // can know how to fix the batch); an aborted exchange is
-                // rebuilt inside the session and never lands here. Nothing
-                // was published; stop admitting, keep the last good epoch
-                // readable.
+                // `run_update` fails only by rejecting the batch up front,
+                // with the master untouched (`Dataset::apply_update` is
+                // atomic); an aborted exchange is rebuilt inside the session
+                // and never lands here. Nothing was published: reply and keep
+                // admitting on the same epoch.
                 dcer_obs::counter_add("serve.admit_failures", 1);
                 let _ = reply.send(Err(e));
-                break;
             }
         }
     }
@@ -670,6 +668,37 @@ mod tests {
         assert_eq!(report2.epoch, 2);
         assert!(resolver.snapshot().cluster_of(Tid::new(0, 0)).is_none());
         assert_eq!(resolver.snapshot().updates_applied(), 2);
+    }
+
+    #[test]
+    fn a_rejected_admit_keeps_the_writer_serving() {
+        let s = session();
+        let d = dataset(&[("a", "1"), ("a", "2"), ("b", "2")]);
+        let resolver = s.resident(&d, &DmatchConfig::new(2)).unwrap();
+        let before = resolver.snapshot();
+
+        // A valid delete and insert ride with a bad-arity insert: the whole
+        // batch is rejected and nothing is published.
+        let mut bad = UpdateBatch::new();
+        bad.delete(Tid::new(0, 0))
+            .insert(0, vec!["b".into(), "9".into()])
+            .insert(0, vec!["arity".into()]);
+        assert!(resolver.admit(bad).is_err());
+        assert!(resolver.is_serving(), "a rejected batch must not stop the writer");
+        assert_eq!(resolver.snapshot().epoch(), before.epoch());
+        assert_eq!(resolver.snapshot().clusters(), before.clusters());
+
+        // The next good admit publishes the next epoch, equal to scratch.
+        let mut good = UpdateBatch::new();
+        good.insert(0, vec!["c".into(), "1".into()]);
+        let report = resolver.admit(good).unwrap();
+        assert_eq!(report.epoch, before.epoch() + 1);
+        let snap = resolver.snapshot();
+        assert_eq!(snap.epoch(), before.epoch() + 1);
+        let mut after = d.clone();
+        after.insert(0, vec!["c".into(), "1".into()]).unwrap();
+        assert_eq!(snap.clusters(), s.run_sequential(&after).matches.clusters().as_slice());
+        assert_eq!(snap.live_tuples(), 4);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! A session is a *materialized* `DMatch` run that stays resident: the
 //! HyPart partition (with its [`DeltaRouter`] geometry cache), one
 //! [`ChaseEngine`] per worker (indexes, compiled rule programs, dependency
-//! store, support log), and the master's routing table. Booting partitions
+//! store, support log), and the master dataset. Booting partitions
 //! the dataset, builds the fleet and runs the BSP exchange to the global
 //! fixpoint; [`crate::dmatch::run_dmatch`] is that boot, reported. Applying
 //! an [`UpdateBatch`] then costs work proportional to the delta, not to
@@ -47,7 +47,7 @@ use dcer_ml::MlRegistry;
 use dcer_mrl::RuleSet;
 use dcer_pool::WorkPool;
 use dcer_relation::{Dataset, Tid, Tuple, UpdateBatch};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,9 +64,6 @@ pub struct UpdateSession {
     pool: Arc<WorkPool>,
     engines: Vec<ChaseEngine>,
     router: DeltaRouter,
-    /// Which workers host each live tuple — the master's routing table,
-    /// kept current across updates.
-    hosts: HashMap<Tid, Vec<u16>>,
     updates_applied: u64,
     repartitions: u64,
     fault_reruns: u32,
@@ -119,7 +116,6 @@ pub(crate) struct BootRun {
 struct Fleet {
     engines: Vec<ChaseEngine>,
     router: DeltaRouter,
-    hosts: HashMap<Tid, Vec<u16>>,
     partition: PartitionStats,
     partition_secs: f64,
 }
@@ -172,7 +168,6 @@ impl UpdateSession {
             pool,
             engines: fleet.engines,
             router: fleet.router,
-            hosts: fleet.hosts,
             updates_applied: 0,
             repartitions: 0,
             fault_reruns: 0,
@@ -196,7 +191,6 @@ impl UpdateSession {
             Self::materialize(&self.master, &self.rules, &self.registry, &self.config, &self.pool)?;
         self.engines = fleet.engines;
         self.router = fleet.router;
-        self.hosts = fleet.hosts;
         Ok(())
     }
 
@@ -227,7 +221,7 @@ impl UpdateSession {
         let shards =
             part.fragments.into_iter().zip(part.rule_masks.into_iter().map(Arc::new)).collect();
         let engines = build_fleet(shards, rules, registry, &chase_cfg, pool)?;
-        Ok(Fleet { engines, router, hosts: part.hosts, partition: part.stats, partition_secs })
+        Ok(Fleet { engines, router, partition: part.stats, partition_secs })
     }
 
     /// Wrap the resident engines in BSP shards, run one exchange to global
@@ -299,9 +293,7 @@ impl UpdateSession {
         let mut worker_masks: Vec<Vec<(Tid, u128)>> = vec![Vec::new(); n];
         for &tid in &report.inserted {
             let tuple = self.master.tuple(tid).expect("just inserted").clone();
-            let routes = self.router.route_insert(&tuple);
-            self.hosts.insert(tid, routes.iter().map(|&(w, _)| w).collect());
-            for &(w, mask) in &routes {
+            for (w, mask) in self.router.route_insert(&tuple) {
                 worker_masks[w as usize].push((tid, mask));
                 worker_inserts[w as usize].push(tuple.clone());
             }
@@ -311,7 +303,6 @@ impl UpdateSession {
             // still there to replay its grid walk.
             let tuple = self.master.tuple(tid).expect("tombstones retained").clone();
             self.router.note_delete(&tuple);
-            self.hosts.remove(&tid);
         }
 
         let mut seen: HashSet<Fact> = HashSet::new();
@@ -400,11 +391,6 @@ impl UpdateSession {
     /// included; `total_live()` is the paper's `|D|`).
     pub fn dataset(&self) -> &Dataset {
         &self.master
-    }
-
-    /// Workers currently hosting `tid` (sorted), if it is live.
-    pub fn hosts_of(&self, tid: Tid) -> Option<&[u16]> {
-        self.hosts.get(&tid).map(Vec::as_slice)
     }
 
     /// Number of update batches applied.
@@ -621,12 +607,42 @@ mod tests {
         batch.insert(0, vec!["p".into(), "2".into()]); // joins p (key) and q (x-value)
         let report = session.run_update(&batch).unwrap();
         assert!(!report.deduced.is_empty());
-        let tid = report.inserted[0];
-        let hosts = session.hosts_of(tid).expect("routed tuple is hosted");
-        assert!(!hosts.is_empty());
         assert_matches_scratch(&mut session, "routed join");
         let (ins, del) = session.router_counters();
         assert_eq!((ins, del), (1, 0));
+    }
+
+    #[test]
+    fn rejected_batch_leaves_the_session_unchanged() {
+        let rows = [("a", "1"), ("a", "2"), ("b", "2"), ("b", "3")];
+        for workers in [1, 2] {
+            let mut session = UpdateSession::new(
+                &dataset(&rows),
+                rules(),
+                registry(),
+                DmatchConfig::new(workers),
+            )
+            .unwrap();
+            let before = session.outcome().matches.clusters();
+            // A delete and a good insert ride with a bad-arity insert.
+            let mut bad = UpdateBatch::new();
+            bad.delete(Tid::new(0, 0))
+                .insert(0, vec!["c".into(), "3".into()])
+                .insert(0, vec!["arity".into()]);
+            assert!(session.run_update(&bad).is_err());
+            assert!(session.dataset().is_live(Tid::new(0, 0)), "the delete must not apply");
+            assert_eq!(session.dataset().total_tuples(), rows.len(), "nor the good insert");
+            assert_eq!(session.updates_applied(), 0);
+            assert_eq!(session.outcome().matches.clusters(), before);
+
+            let mut good = UpdateBatch::new();
+            good.insert(0, vec!["c".into(), "3".into()]);
+            session.run_update(&good).unwrap();
+            assert_matches_scratch(
+                &mut session,
+                &format!("after a rejected batch, workers={workers}"),
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Golden-output test for HyPart: fixed cases over the `parallel_parity`
 //! catalog and rule pool, each partitioned at 1, 2 and 8 lanes and reduced
 //! to one line — every `PartitionStats` field plus a 64-bit FNV-1a digest
-//! of the fragments (tids in row order), the routing table (sorted by tid)
-//! and each fragment's rule masks (sorted by tid).
+//! of the fragments (tids in row order), each tuple's host workers (sorted
+//! by tid; derived from the rule masks, whose keys are exactly each
+//! fragment's tuples) and each fragment's rule masks (sorted by tid).
 //!
 //! `golden/partition.txt` was produced by the original single-threaded
 //! reference partitioner (one global hash memo, geometry rebuilt on every
@@ -14,7 +15,8 @@
 
 use dcer_hypart::{partition, HyPartConfig, Partition};
 use dcer_mrl::parse_rules;
-use dcer_relation::{Catalog, Dataset, RelationSchema, ValueType};
+use dcer_relation::{Catalog, Dataset, RelationSchema, Tid, ValueType};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden/partition.txt");
@@ -147,8 +149,12 @@ fn digest(p: &Partition) -> u64 {
             h.bytes(&end);
         }
     }
-    let mut hosts: Vec<_> = p.hosts.iter().collect();
-    hosts.sort();
+    let mut hosts: BTreeMap<Tid, Vec<u16>> = BTreeMap::new();
+    for (w, masks) in p.rule_masks.iter().enumerate() {
+        for &tid in masks.keys() {
+            hosts.entry(tid).or_default().push(w as u16);
+        }
+    }
     for (tid, workers) in hosts {
         h.bytes(&tid.pack().to_le_bytes());
         for w in workers {

@@ -58,7 +58,7 @@ fn assert_identical(a: &Partition, b: &Partition, context: &str) {
             assert_eq!(ra.tuples(), rb.tuples(), "{context}: fragment {w} rows");
         }
     }
-    assert_eq!(a.hosts, b.hosts, "{context}: hosts");
+    assert_eq!(a.rule_masks, b.rule_masks, "{context}: rule masks");
     assert_eq!(a.stats, b.stats, "{context}: stats");
 }
 

@@ -123,7 +123,7 @@ impl Phase {
             n if n.starts_with("chase.") => Phase::Deduce,
             "exchange" => Phase::Exchange,
             "bsp.barrier_wait" => Phase::BarrierWait,
-            "hypart.fragment" | "hypart.hosts" => Phase::Assemble,
+            "hypart.fragment" => Phase::Assemble,
             n if n.starts_with("bsp.recovery") => Phase::Recovery,
             "pool.park" => Phase::Scheduler,
             _ => return None,

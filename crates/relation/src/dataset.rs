@@ -186,7 +186,21 @@ impl Dataset {
     /// original dataset; use [`Dataset::insert_replica`] when building
     /// fragments.
     pub fn insert(&mut self, rel: RelId, values: Vec<Value>) -> Result<Tid> {
-        let schema = self.catalog.schema(rel).clone();
+        self.validate(rel, &values)?;
+        let r = &mut self.relations[rel as usize];
+        let tid = Tid::new(rel, r.len() as u32);
+        r.push(Tuple::new(tid, values));
+        Ok(tid)
+    }
+
+    /// Check `values` against relation `rel`: the relation exists, the
+    /// arity matches its schema and every non-null value has a compatible
+    /// type.
+    fn validate(&self, rel: RelId, values: &[Value]) -> Result<()> {
+        if rel as usize >= self.relations.len() {
+            return Err(Error::UnknownRelation(format!("#{rel}")));
+        }
+        let schema = self.catalog.schema(rel);
         if values.len() != schema.arity() {
             return Err(Error::ArityMismatch {
                 relation: schema.name.clone(),
@@ -206,10 +220,7 @@ impl Dataset {
                 }
             }
         }
-        let r = &mut self.relations[rel as usize];
-        let tid = Tid::new(rel, r.len() as u32);
-        r.push(Tuple::new(tid, values));
-        Ok(tid)
+        Ok(())
     }
 
     /// Insert a replicated tuple, *preserving* its original identity. Used by
@@ -241,7 +252,13 @@ impl Dataset {
     /// actually changed — deletes of unknown or already-dead identities are
     /// dropped, so replaying the report against a copy of the pre-update
     /// dataset reproduces this one exactly.
+    ///
+    /// Atomic: every insert is validated before anything changes, so a
+    /// rejected batch leaves the dataset untouched.
     pub fn apply_update(&mut self, batch: &UpdateBatch) -> Result<UpdateReport> {
+        for (rel, values) in &batch.inserts {
+            self.validate(*rel, values)?;
+        }
         let mut report = UpdateReport::default();
         for &tid in &batch.deletes {
             if self.delete(tid) {
@@ -399,6 +416,26 @@ mod tests {
         let mut bad = UpdateBatch::new();
         bad.insert(0, vec![Value::Int(1)]);
         assert!(d.apply_update(&bad).is_err());
+    }
+
+    #[test]
+    fn rejected_batch_changes_nothing() {
+        let mut d = Dataset::new(two_rel_catalog());
+        let t0 = d.insert(0, vec![Value::Int(1), Value::str("p")]).unwrap();
+        let bad_inserts: [(RelId, Vec<Value>); 3] = [
+            (0, vec![Value::Int(2)]),                     // arity
+            (0, vec![Value::str("no"), Value::str("q")]), // type
+            (7, vec![Value::str("z")]),                   // relation
+        ];
+        for (rel, values) in bad_inserts {
+            let mut batch = UpdateBatch::new();
+            batch.delete(t0).insert(1, vec![Value::str("good")]).insert(rel, values);
+            assert!(d.apply_update(&batch).is_err());
+            assert!(d.is_live(t0), "a rejected batch must not apply its deletes");
+            assert_eq!(d.relation(1).len(), 0, "nor its valid inserts");
+            assert_eq!(d.total_tuples(), 1);
+        }
+        assert!(matches!(d.insert(7, vec![]), Err(Error::UnknownRelation(_))));
     }
 
     #[test]

@@ -105,24 +105,24 @@ proptest! {
         let p = partition(&d, &rs, &cfg);
         prop_assert_eq!(p.fragments.len(), workers);
         assert_locality(&d, &rs, &p.fragments);
-        // Parity with the one-lane oracle at this thread count (the full
+        // Parity with the one-lane run at this thread count (the full
         // determinism proptest lives in crates/hypart/tests/parallel_parity.rs).
         let r = partition(&d, &rs, &HyPartConfig { threads: 1, ..cfg.clone() });
         prop_assert_eq!(&p.stats, &r.stats);
-        prop_assert_eq!(&p.hosts, &r.hosts);
         prop_assert_eq!(&p.rule_masks, &r.rule_masks);
         for (fa, fb) in p.fragments.iter().zip(&r.fragments) {
             for (ra, rb) in fa.relations().iter().zip(fb.relations()) {
                 prop_assert_eq!(ra.tuples(), rb.tuples());
             }
         }
-        // Routing table consistency.
+        // Every tuple is hosted, and a fragment's rule-mask keys are
+        // exactly its tuples.
         for t in d.all_tuples() {
-            let hosts = p.hosts.get(&t.tid).expect("every tuple hosted");
-            prop_assert!(!hosts.is_empty());
-            for &w in hosts {
-                prop_assert!(p.fragments[w as usize].relation(t.tid.rel).contains(t.tid));
-            }
+            prop_assert!(p.rule_masks.iter().any(|m| m.contains_key(&t.tid)), "every tuple hosted");
+        }
+        for (f, masks) in p.fragments.iter().zip(&p.rule_masks) {
+            prop_assert_eq!(f.total_tuples(), masks.len());
+            prop_assert!(masks.keys().all(|&tid| f.relation(tid.rel).contains(tid)));
         }
     }
 }
