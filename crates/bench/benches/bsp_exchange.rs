@@ -1,22 +1,24 @@
-//! BSP exchange benchmark: zero-copy `DeltaBatch` routing versus a
-//! clone-per-recipient baseline, on the acceptance workload of 8 workers
-//! each broadcasting 100k facts.
+//! BSP exchange benchmark: the absolute cost of zero-copy `DeltaBatch`
+//! routing on the acceptance workload of 8 workers each broadcasting 100k
+//! facts, and of superstep checkpointing on top of it.
 //!
-//! Measures three levels:
-//!   * `route/*`   — the raw fan-out cost of handing one payload to the 7
-//!     peers (Arc bump vs `Vec<Fact>` deep copy);
+//! Measures four levels:
+//!   * `route/*`    — the raw fan-out cost of handing one payload to the 7
+//!     peers (7 `Arc` bumps);
 //!   * `exchange/*` — a full `run_bsp` superstep with all 8 workers
-//!     broadcasting, including mailbox delivery and cost accounting;
-//!   * `merge/*`   — folding a 7-batch inbox with `DeltaBatch::merge_all`.
+//!     broadcasting, including mailbox delivery and cost accounting, with
+//!     and without checkpointing;
+//!   * `round/*`    — the same superstep plus the receiver-side merge, with
+//!     and without checkpointing (the pair the overhead guard reads);
+//!   * `merge/*`    — folding a 7-batch inbox with `DeltaBatch::merge_all`.
 //!
-//! After measuring, the headline throughputs and the arc-vs-clone speedups
-//! are written to `BENCH_bsp_exchange.json` at the workspace root so the
-//! zero-copy claim is recorded alongside the code.
+//! After measuring, the absolute times (ns) and the checkpoint overhead
+//! are written to `BENCH_bsp_exchange.json` at the workspace root. That a
+//! broadcast shares one allocation among its recipients is a unit test of
+//! `ShardWorker` (`dcer-core`), not a timing.
 
 use criterion::{black_box, Criterion};
-use dcer_bsp::{
-    run_bsp, run_bsp_with, CostModel, ExecutionMode, FaultConfig, Message, Worker, WorkerId,
-};
+use dcer_bsp::{run_bsp, run_bsp_with, CostModel, ExecutionMode, FaultConfig, Worker, WorkerId};
 use dcer_chase::{BatchStats, DeltaBatch, Fact};
 use dcer_relation::Tid;
 
@@ -29,62 +31,20 @@ fn workload(n: usize) -> Vec<Fact> {
     (0..n).map(|i| Fact::id(Tid::new(0, i as u32), Tid::new(1, i as u32))).collect()
 }
 
-/// Baseline message: owns its facts, so routing it to `k` recipients
-/// deep-copies the payload `k` times. This is exactly what the pre-batch
-/// runtime did with `Vec<Fact>` deltas.
-#[derive(Clone)]
-struct OwnedBatch(Vec<Fact>);
-
-impl Message for OwnedBatch {
-    fn size_bytes(&self) -> usize {
-        self.0.iter().map(Fact::size_bytes).sum()
-    }
-
-    fn unit_count(&self) -> usize {
-        self.0.len()
-    }
-}
-
 /// Worker that broadcasts its payload in superstep 0 and then quiesces —
-/// the communication skeleton of one DMatch exchange round.
-struct BroadcastOnce<M: Message> {
-    id: WorkerId,
-    shards: usize,
-    payload: M,
-}
-
-impl<M: Message> Worker for BroadcastOnce<M> {
-    type Msg = M;
-
-    fn initial(&mut self) -> Vec<(WorkerId, M)> {
-        (0..self.shards).filter(|&w| w != self.id).map(|w| (w, self.payload.clone())).collect()
-    }
-
-    fn superstep(&mut self, inbox: Vec<M>) -> Vec<(WorkerId, M)> {
-        black_box(inbox);
-        Vec::new()
-    }
-
-    fn snapshot(&mut self) -> Option<M> {
-        Some(self.payload.clone())
-    }
-}
-
-fn exchange_workers<M: Message + Clone>(payload: &M) -> Vec<BroadcastOnce<M>> {
-    (0..WORKERS).map(|id| BroadcastOnce { id, shards: WORKERS, payload: payload.clone() }).collect()
-}
-
-/// One realistic exchange round: broadcast the payload, then fold the
-/// 7-batch inbox — the receiver-side work every actual DMatch superstep
-/// performs before deducing. The checkpoint-overhead guard runs on this
-/// pair: against a superstep with real work, not against bare Arc bumps.
-struct BroadcastAndMerge {
+/// the communication skeleton of one DMatch exchange round. With `merge`
+/// set it also folds its 7-batch inbox, the receiver-side work every
+/// actual DMatch superstep performs before deducing; the
+/// checkpoint-overhead guard runs on that variant, against a superstep
+/// with real work rather than bare `Arc` bumps.
+struct Broadcast {
     id: WorkerId,
     shards: usize,
     payload: DeltaBatch,
+    merge: bool,
 }
 
-impl Worker for BroadcastAndMerge {
+impl Worker for Broadcast {
     type Msg = DeltaBatch;
 
     fn initial(&mut self) -> Vec<(WorkerId, DeltaBatch)> {
@@ -92,9 +52,11 @@ impl Worker for BroadcastAndMerge {
     }
 
     fn superstep(&mut self, inbox: Vec<DeltaBatch>) -> Vec<(WorkerId, DeltaBatch)> {
-        if !inbox.is_empty() {
+        if self.merge && !inbox.is_empty() {
             let mut stats = BatchStats::default();
             black_box(DeltaBatch::merge_all(&inbox, &mut stats));
+        } else {
+            black_box(inbox);
         }
         Vec::new()
     }
@@ -104,16 +66,15 @@ impl Worker for BroadcastAndMerge {
     }
 }
 
-fn round_workers(payload: &DeltaBatch) -> Vec<BroadcastAndMerge> {
+fn workers(payload: &DeltaBatch, merge: bool) -> Vec<Broadcast> {
     (0..WORKERS)
-        .map(|id| BroadcastAndMerge { id, shards: WORKERS, payload: payload.clone() })
+        .map(|id| Broadcast { id, shards: WORKERS, payload: payload.clone(), merge })
         .collect()
 }
 
 fn main() {
     let mut c = Criterion::default().sample_size(20);
-    let facts = workload(FACTS);
-    let batch = DeltaBatch::new(facts.clone());
+    let batch = DeltaBatch::new(workload(FACTS));
     assert_eq!(batch.len(), FACTS, "workload facts must be distinct");
 
     // Raw fan-out: one sender hands its delta to the 7 peers.
@@ -123,31 +84,19 @@ fn main() {
             black_box(routed)
         })
     });
-    c.bench_function("route/clone_per_recipient", |b| {
-        b.iter(|| {
-            let routed: Vec<Vec<Fact>> = (1..WORKERS).map(|_| facts.clone()).collect();
-            black_box(routed)
-        })
-    });
 
     // Full BSP round: all 8 workers broadcast, mailboxes are delivered,
-    // bytes are accounted.
+    // bytes are accounted; then the same round with superstep
+    // checkpointing enabled (fault tolerance on, no injected faults).
     let cost = CostModel::default();
-    c.bench_function("exchange/arc_batch_8w_100k", |b| {
-        b.iter(|| black_box(run_bsp(exchange_workers(&batch), ExecutionMode::Simulated, &cost)))
-    });
-    c.bench_function("exchange/clone_8w_100k", |b| {
-        let owned = OwnedBatch(facts.clone());
-        b.iter(|| black_box(run_bsp(exchange_workers(&owned), ExecutionMode::Simulated, &cost)))
-    });
-    // Same round with superstep checkpointing enabled (fault-tolerance on,
-    // no injected faults): the overhead guard in CI keeps this within 5%
-    // of the plain exchange.
     let ckpt = FaultConfig::checkpointing();
+    c.bench_function("exchange/arc_batch_8w_100k", |b| {
+        b.iter(|| black_box(run_bsp(workers(&batch, false), ExecutionMode::Simulated, &cost)))
+    });
     c.bench_function("exchange/arc_batch_8w_100k_ckpt", |b| {
         b.iter(|| {
             black_box(
-                run_bsp_with(exchange_workers(&batch), ExecutionMode::Simulated, &cost, &ckpt)
+                run_bsp_with(workers(&batch, false), ExecutionMode::Simulated, &cost, &ckpt)
                     .unwrap(),
             )
         })
@@ -156,12 +105,12 @@ fn main() {
     // Full round with receiver-side merge — the realistic superstep the
     // checkpoint-overhead guard compares against.
     c.bench_function("round/plain_8w_100k", |b| {
-        b.iter(|| black_box(run_bsp(round_workers(&batch), ExecutionMode::Simulated, &cost)))
+        b.iter(|| black_box(run_bsp(workers(&batch, true), ExecutionMode::Simulated, &cost)))
     });
     c.bench_function("round/ckpt_8w_100k", |b| {
         b.iter(|| {
             black_box(
-                run_bsp_with(round_workers(&batch), ExecutionMode::Simulated, &cost, &ckpt)
+                run_bsp_with(workers(&batch, true), ExecutionMode::Simulated, &cost, &ckpt)
                     .unwrap(),
             )
         })
@@ -180,7 +129,8 @@ fn main() {
     write_report(&c);
 }
 
-/// Record the acceptance numbers at `<workspace>/BENCH_bsp_exchange.json`.
+/// Record the absolute times, then the ratios derived from them, at
+/// `<workspace>/BENCH_bsp_exchange.json`.
 fn write_report(c: &Criterion) {
     use serde_json::{Map, Value};
 
@@ -191,47 +141,28 @@ fn write_report(c: &Criterion) {
             .map(|r| r.mean_ns)
             .unwrap_or_else(|| panic!("missing bench result {id}"))
     };
-    // Facts crossing the exchange in one full round: each of the 8 workers
-    // broadcasts its 100k facts to 7 peers.
-    let routed_facts = (WORKERS * (WORKERS - 1) * FACTS) as f64;
-    let throughput = |ns: f64| routed_facts / (ns / 1e9);
-
-    let exchange_arc_ns = mean("exchange/arc_batch_8w_100k");
-    let exchange_clone_ns = mean("exchange/clone_8w_100k");
+    let exchange_ns = mean("exchange/arc_batch_8w_100k");
     let exchange_ckpt_ns = mean("exchange/arc_batch_8w_100k_ckpt");
-    let route_arc_ns = mean("route/arc_batch");
-    let route_clone_ns = mean("route/clone_per_recipient");
+    let round_plain_ns = mean("round/plain_8w_100k");
+    let round_ckpt_ns = mean("round/ckpt_8w_100k");
 
-    let bench = |ns: f64| {
-        let mut m = Map::new();
-        m.insert("mean_ns", Value::from(ns));
-        m.insert("facts_per_sec", Value::from(throughput(ns)));
-        Value::Object(m)
-    };
     let mut root = Map::new();
     root.insert("bench", Value::from("bsp_exchange"));
     root.insert("workers", Value::from(WORKERS));
     root.insert("facts_per_worker", Value::from(FACTS));
-    root.insert("routed_facts_per_round", Value::from(routed_facts));
-    root.insert("exchange_arc_batch", bench(exchange_arc_ns));
-    root.insert("exchange_clone_per_recipient", bench(exchange_clone_ns));
-    root.insert("exchange_speedup", Value::from(exchange_clone_ns / exchange_arc_ns));
-    root.insert("exchange_ckpt", bench(exchange_ckpt_ns));
+    root.insert("route_arc_batch_ns", Value::from(mean("route/arc_batch")));
+    root.insert("exchange_arc_batch_ns", Value::from(exchange_ns));
+    root.insert("exchange_ckpt_ns", Value::from(exchange_ckpt_ns));
+    root.insert("round_plain_ns", Value::from(round_plain_ns));
+    root.insert("round_ckpt_ns", Value::from(round_ckpt_ns));
+    root.insert("merge_inbox_7x100k_ns", Value::from(mean("merge/inbox_7x100k")));
     // Checkpointing cost relative to the bare zero-copy exchange (pure
     // Arc-bump bookkeeping, microseconds): informational only — any fixed
     // cost looks huge against a near-zero baseline.
-    root.insert("exchange_ckpt_ratio", Value::from(exchange_ckpt_ns / exchange_arc_ns));
+    root.insert("exchange_ckpt_ratio", Value::from(exchange_ckpt_ns / exchange_ns));
     // The guarded number: checkpointing overhead on a superstep with real
     // receiver-side work. CI requires checkpoint_overhead <= 1.05.
-    let round_plain_ns = mean("round/plain_8w_100k");
-    let round_ckpt_ns = mean("round/ckpt_8w_100k");
-    root.insert("round_plain_ns", Value::from(round_plain_ns));
-    root.insert("round_ckpt_ns", Value::from(round_ckpt_ns));
     root.insert("checkpoint_overhead", Value::from(round_ckpt_ns / round_plain_ns));
-    root.insert("route_arc_batch_ns", Value::from(route_arc_ns));
-    root.insert("route_clone_per_recipient_ns", Value::from(route_clone_ns));
-    root.insert("route_speedup", Value::from(route_clone_ns / route_arc_ns));
-    root.insert("merge_inbox_7x100k_ns", Value::from(mean("merge/inbox_7x100k")));
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_bsp_exchange.json");
     let body = serde_json::to_string_pretty(&Value::Object(root)).expect("render json");

@@ -1,15 +1,17 @@
 //! HyPart partitioning benchmark: absolute wall time of `partition` on
-//! shared [`WorkPool`]s of 1 lane, of the host's `cores` lanes and of 8
+//! shared [`WorkPool`]s of 1 lane, 2 lanes, the host's `cores` lanes and 8
 //! lanes — each pool spawned once and reused across every iteration, as a
 //! session would.
 //!
-//! Before timing, the bench asserts that the three lane counts produce the
+//! Before timing, the bench asserts that every lane count produces the
 //! identical [`Partition`] (fragments row by row, rule masks, stats). It
-//! then reports the medians `par_1t_ns`, `par_cores_ns` and `par_8t_ns`
-//! with the real `cores`, plus `speedup_cores` and `speedup_8t_threaded`
-//! (1-lane time over the `cores`- and 8-lane times).
-//! When `cores` is 1 or 8 the `cores`-lane pool is one of the other two,
-//! so it is not timed twice and `par_cores_ns` repeats that median.
+//! then reports the medians `par_1t_ns`, `par_2t_ns`, `par_cores_ns` and
+//! `par_8t_ns` with the real `cores`, plus `speedup_cores` and
+//! `speedup_8t_threaded` (1-lane time over the `cores`- and 8-lane times).
+//! The 2-lane pool is timed at any core count, so a run pinned to one core
+//! still compares one lane with two. When `cores` is 1, 2 or 8 the
+//! `cores`-lane pool is one of the others, so it is not timed twice and
+//! `par_cores_ns` repeats that median.
 //! Results go to `BENCH_hypart_partition.json` at the workspace root (or,
 //! with `HYPART_PARTITION_QUICK` set, a reduced run to
 //! `results/BENCH_hypart_partition_quick.json` for the CI smoke job).
@@ -75,7 +77,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let (d, rules) = workload(rows);
-    let mut lane_counts = vec![1, cores, 8];
+    let mut lane_counts = vec![1, 2, cores, 8];
+    lane_counts.sort_unstable();
     lane_counts.dedup();
     let configs: Vec<HyPartConfig> = lane_counts
         .iter()
@@ -114,7 +117,7 @@ fn main() {
         })
         .collect();
     let at = |lanes: usize| medians[lane_counts.iter().position(|&l| l == lanes).unwrap()];
-    let (par_1t, par_cores, par_8t) = (at(1), at(cores), at(8));
+    let (par_1t, par_2t, par_cores, par_8t) = (at(1), at(2), at(cores), at(8));
     for (lanes, ns) in lane_counts.iter().zip(&medians) {
         let name = format!("partition/pool_{lanes}");
         eprintln!("bench: {name:<48} {ns:>14.1} ns/iter (median of {samples})");
@@ -128,6 +131,7 @@ fn main() {
     root.insert("quick", Value::from(quick));
     root.insert("cores", Value::from(cores));
     root.insert("par_1t_ns", Value::from(par_1t));
+    root.insert("par_2t_ns", Value::from(par_2t));
     root.insert("par_cores_ns", Value::from(par_cores));
     root.insert("par_8t_ns", Value::from(par_8t));
     root.insert("speedup_cores", Value::from(par_1t / par_cores));

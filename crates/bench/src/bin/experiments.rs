@@ -23,22 +23,10 @@ struct Args {
     command: String,
     scale: f64,
     workers: usize,
-    /// Explicit fault plan for the `chaos` experiment (e.g.
-    /// `"crash 2@1; drop 0->1@1"`); seeded random plans when absent.
-    fault_plan: Option<String>,
-    fault_seed: u64,
-    fault_cells: usize,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        command: "all".into(),
-        scale: 1.0,
-        workers: 16,
-        fault_plan: None,
-        fault_seed: 7,
-        fault_cells: 6,
-    };
+    let mut args = Args { command: "all".into(), scale: 1.0, workers: 16 };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -51,18 +39,6 @@ fn parse_args() -> Args {
                 i += 1;
                 args.workers = argv[i].parse().expect("--workers <n>");
             }
-            "--fault-plan" => {
-                i += 1;
-                args.fault_plan = Some(argv[i].clone());
-            }
-            "--fault-seed" => {
-                i += 1;
-                args.fault_seed = argv[i].parse().expect("--fault-seed <u64>");
-            }
-            "--fault-cells" => {
-                i += 1;
-                args.fault_cells = argv[i].parse().expect("--fault-cells <n>");
-            }
             cmd if !cmd.starts_with('-') => args.command = cmd.to_string(),
             other => panic!("unknown flag {other}"),
         }
@@ -71,18 +47,15 @@ fn parse_args() -> Args {
     args
 }
 
-fn archive(json: serde_json::Value) {
+/// Print a table and append it to `results/experiments.jsonl`.
+fn emit(title: &str, headers: &[&str], rows: Vec<Vec<Cell>>) {
     use std::io::Write;
+    println!("{}", format_table(title, headers, &rows));
     if let Ok(mut f) =
         std::fs::OpenOptions::new().create(true).append(true).open("results/experiments.jsonl")
     {
-        let _ = writeln!(f, "{json}");
+        let _ = writeln!(f, "{}", table_json(title, headers, &rows));
     }
-}
-
-fn emit(title: &str, headers: &[&str], rows: Vec<Vec<Cell>>) {
-    println!("{}", format_table(title, headers, &rows));
-    archive(table_json(title, headers, &rows));
 }
 
 /// Table V: F-measure and time for every method on the four labeled
@@ -254,9 +227,7 @@ fn fig6_time_vs_preds(scale: f64, workers: usize, tfacc: bool) {
         for (mqo, bucket) in [(true, &mut with_mqo), (false, &mut without)] {
             let mut cfg = dcer_core::DmatchConfig::new(workers);
             cfg.use_mqo = mqo;
-            let t0 = Instant::now();
             let report = session.run_parallel(&data, &cfg).unwrap();
-            let _ = t0.elapsed();
             bucket.push(report.partition_secs + report.simulated_er_secs);
         }
     }
@@ -466,87 +437,12 @@ fn case_study(scale: f64, workers: usize) {
     println!("DMatch on ACM-DBLP: F = {:.3}", res.metrics.f_measure);
 }
 
-/// Dump the complete execution statistics of one DMatch run — BSP exchange
-/// counters, per-worker chase counters, batch construction/merge counters
-/// and partitioning geometry — as a single JSON record, straight from the
-/// `Serialize` impls on the stats structs.
-fn stats_dump(scale: f64, workers: usize) {
-    use serde_json::{to_value, Map, Value};
-    use std::sync::Arc;
-
-    let collector = Arc::new(dcer_obs::InMemoryCollector::new());
-    dcer_obs::install(collector.clone());
-    let w = tpch_workload(scale, 0.4);
-    let (res, report) = run_dmatch(&w, workers, true);
-    dcer_obs::uninstall();
-
-    let mut m = Map::new();
-    m.insert("experiment", Value::from("stats"));
-    m.insert("dataset", Value::from("tpch"));
-    m.insert("scale", Value::from(scale));
-    m.insert("workers", Value::from(workers));
-    m.insert("f_measure", Value::from(res.metrics.f_measure));
-    m.insert("bsp", to_value(&report.bsp));
-    m.insert("batch", to_value(&report.batch));
-    m.insert("partition", to_value(&report.partition));
-    m.insert("worker_chase", to_value(&report.worker_stats));
-    m.insert("metrics", metrics_value(&collector.metrics()));
-    let record = Value::Object(m);
-    println!("== Execution statistics (one DMatch run on TPCH) ==");
-    println!("{}", serde_json::to_string_pretty(&record).unwrap());
-    archive(record);
-}
-
-/// Render a metrics snapshot as a flat JSON object: `"name"` or
-/// `"name[label]"` keys, counters/gauges as numbers, histograms as summary
-/// objects with their non-empty `[lo, hi, count)` buckets.
-fn metrics_value(snapshot: &[(String, Option<u32>, dcer_obs::Metric)]) -> serde_json::Value {
-    use serde_json::{Map, Value};
-
-    let mut out = Map::new();
-    for (name, label, metric) in snapshot {
-        let key = match label {
-            Some(l) => format!("{name}[{l}]"),
-            None => name.clone(),
-        };
-        let value = match metric {
-            dcer_obs::Metric::Counter(v) => Value::from(*v),
-            dcer_obs::Metric::Gauge(v) => Value::from(*v),
-            dcer_obs::Metric::Histogram(h) => {
-                let mut obj = Map::new();
-                obj.insert("count", Value::from(h.count()));
-                obj.insert("sum", Value::from(h.sum()));
-                obj.insert("min", h.min().map_or(Value::Null, Value::from));
-                obj.insert("max", h.max().map_or(Value::Null, Value::from));
-                obj.insert("mean", h.mean().map_or(Value::Null, Value::from));
-                // Bucket-upper-bound estimates from the log2 histogram:
-                // each may overshoot the true quantile by up to 2x, never
-                // undershoots (see `Histogram::quantile`).
-                for (key, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
-                    obj.insert(key, h.quantile(q).map_or(Value::Null, Value::from));
-                }
-                let buckets: Vec<Value> = h
-                    .nonzero_buckets()
-                    .into_iter()
-                    .map(|(lo, hi, c)| {
-                        Value::from(vec![Value::from(lo), Value::from(hi), Value::from(c)])
-                    })
-                    .collect();
-                obj.insert("buckets", Value::from(buckets));
-                Value::Object(obj)
-            }
-        };
-        out.insert(key, value);
-    }
-    Value::Object(out)
-}
-
 /// Run DMatch on the bibliographic workload under a live trace collector
 /// and export the observability artifacts: `results/trace.json` (Chrome
 /// trace-event JSON — load in Perfetto or `about:tracing`) and
-/// `results/metrics.json` (the stats record of [`stats_dump`] merged with
-/// the flat metrics registry). Self-checks that the trace covers the four
-/// pipeline phases so CI can run this as a smoke test.
+/// `results/metrics.json` (the run's stats structs plus the collector's
+/// metrics registry as `dcer_obs` exports it). Self-checks that the trace
+/// covers the four pipeline phases so CI can run this as a smoke test.
 fn trace_run(scale: f64, workers: usize) {
     use serde_json::{to_value, Map, Value};
     use std::sync::Arc;
@@ -570,7 +466,8 @@ fn trace_run(scale: f64, workers: usize) {
     m.insert("batch", to_value(&report.batch));
     m.insert("partition", to_value(&report.partition));
     m.insert("worker_chase", to_value(&report.worker_stats));
-    m.insert("metrics", metrics_value(&collector.metrics()));
+    let metrics = serde_json::from_str(&collector.metrics_json()).expect("metrics_json parses");
+    m.insert("metrics", metrics);
     let record = Value::Object(m);
     let pretty = serde_json::to_string_pretty(&record).unwrap();
     std::fs::write("results/metrics.json", &pretty).expect("write results/metrics.json");
@@ -698,307 +595,6 @@ fn profile_run(scale: f64, workers: usize) {
     );
 }
 
-/// Chaos harness: run DMatch on TPCH under injected faults (explicit
-/// `--fault-plan`, or a seeded matrix of random plans) with superstep
-/// checkpointing on, and verify every cell recovers to exactly the
-/// fault-free transitive closure (DESIGN.md §11).
-fn chaos(scale: f64, workers: usize, plan_arg: Option<&str>, seed: u64, cells: usize) {
-    use dcer_bsp::{FaultConfig, FaultPlan};
-    use serde_json::{to_value, Map, Value};
-
-    let w = tpch_workload(scale, 0.3);
-    let baseline = w.session.run_parallel(&w.data, &dcer_core::DmatchConfig::new(workers)).unwrap();
-    let mut expected_matches = baseline.outcome.matches.clone();
-    let expected = expected_matches.clusters();
-    let steps = baseline.bsp.supersteps.max(1) as u64;
-
-    let plans: Vec<FaultPlan> = match plan_arg {
-        Some(src) => {
-            vec![FaultPlan::parse(src).unwrap_or_else(|e| panic!("bad --fault-plan: {e}"))]
-        }
-        None => (0..cells).map(|i| FaultPlan::random(seed + i as u64, workers, steps, 2)).collect(),
-    };
-
-    println!(
-        "== Chaos: DMatch on TPCH under fault injection (n = {workers}, {steps} fault-free supersteps) =="
-    );
-    let mut rows = Vec::new();
-    for plan in &plans {
-        let cfg =
-            dcer_core::DmatchConfig::new(workers).with_faults(FaultConfig::with_plan(plan.clone()));
-        let mut report = w.session.run_parallel(&w.data, &cfg).unwrap();
-        let recovered = report.outcome.matches.clusters();
-        assert_eq!(recovered, expected, "plan `{plan}` diverged from the fault-free closure");
-        let r = report.bsp.recovery;
-        rows.push(vec![
-            Cell::Str(plan.to_string()),
-            Cell::from(r.crashes as i64),
-            Cell::from(r.recoveries as i64),
-            Cell::from(r.retries as i64),
-            Cell::from(r.replayed_batches as i64),
-            Cell::from(r.checkpoints as i64),
-            Cell::from(report.fault_reruns as i64),
-        ]);
-        let mut m = Map::new();
-        m.insert("experiment", Value::from("chaos"));
-        m.insert("dataset", Value::from("tpch"));
-        m.insert("workers", Value::from(workers));
-        m.insert("plan", Value::from(plan.to_string()));
-        m.insert("recovery", to_value(&r));
-        m.insert("fault_reruns", Value::from(report.fault_reruns as i64));
-        m.insert("closure_matches_baseline", Value::from(true));
-        archive(Value::Object(m));
-    }
-    emit(
-        "Chaos: recovery parity under injected faults",
-        &["plan", "crashes", "recoveries", "retries", "replayed", "ckpts", "reruns"],
-        rows,
-    );
-    println!("every cell recovered to the fault-free transitive closure.\n");
-}
-
-/// Incremental maintenance demo: keep a resident [`dcer_core::UpdateSession`]
-/// over TPCH and feed it balanced ~1% CDC churn batches (deletes of live
-/// tuples — some deliberately repeated across batches — plus inserts cloning
-/// existing rows as fresh duplicates). Prints the per-batch delta ledger and
-/// verifies the final closure against a from-scratch DMatch run over the
-/// same final dataset (DESIGN.md §12).
-fn update_demo(scale: f64, workers: usize) {
-    use serde_json::{Map, Value};
-
-    let w = tpch_workload(scale, 0.3);
-    let cfg = dcer_core::DmatchConfig::new(workers);
-    let t0 = Instant::now();
-    let mut session = w.session.update_session(&w.data, &cfg).unwrap();
-    let bootstrap_secs = t0.elapsed().as_secs_f64();
-
-    // Churn the matching target relation: deletes there retract match
-    // facts through the DRed cascade, and inserted row clones arrive as
-    // fresh duplicates the rederive exchange must re-match.
-    let rel = w.target_rel;
-    let base: Vec<_> = w.data.relation(rel).tuples().iter().map(|t| t.tid).collect();
-    let churn = (base.len() / 100).max(1);
-    println!(
-        "== Incremental maintenance: resident DMatch on TPCH (n = {workers}, churned relation {rel} has {} rows, ~{churn} deletes + {churn} inserts per batch) ==",
-        base.len()
-    );
-    println!("bootstrap (partition + fleet + initial fixpoint): {bootstrap_secs:.2}s");
-
-    let mut rows = Vec::new();
-    let donor_row = |b: usize, i: usize| (b * churn + i) * 13 % base.len();
-    for b in 0..4usize {
-        let mut batch = dcer_relation::UpdateBatch::new();
-        for i in 0..churn {
-            // Batch 0 kills strided victims; later batches kill the rows
-            // the previous batch cloned, so their freshly deduced matches
-            // have to be retracted again. Revisited victims are already
-            // dead — deletes of tombstoned tuples must be tolerated no-ops.
-            let victim = if b == 0 { (i * 7) % base.len() } else { donor_row(b - 1, i) };
-            batch.delete(base[victim]);
-            let donor = &w.data.relation(rel).tuples()[donor_row(b, i)];
-            batch.insert(rel, donor.values.to_vec());
-        }
-        let t = Instant::now();
-        let report = session.run_update(&batch).unwrap();
-        let secs = t.elapsed().as_secs_f64();
-        rows.push(vec![
-            Cell::from(b as i64),
-            Cell::from(report.inserted.len() as i64),
-            Cell::from(report.deleted.len() as i64),
-            Cell::from(report.retracted.len() as i64),
-            Cell::from(report.deduced.len() as i64),
-            Cell::from(report.over_deleted as i64),
-            Cell::from(report.notice_rounds as i64),
-            Cell::Str(if report.repartitioned { "yes".into() } else { "no".into() }),
-            Cell::F2(secs),
-        ]);
-        let mut m = Map::new();
-        m.insert("experiment", Value::from("update"));
-        m.insert("dataset", Value::from("tpch"));
-        m.insert("workers", Value::from(workers));
-        m.insert("batch", Value::from(b as u64));
-        m.insert("inserted", Value::from(report.inserted.len() as u64));
-        m.insert("deleted", Value::from(report.deleted.len() as u64));
-        m.insert("retracted", Value::from(report.retracted.len() as u64));
-        m.insert("deduced", Value::from(report.deduced.len() as u64));
-        m.insert("over_deleted", Value::from(report.over_deleted));
-        m.insert("notice_rounds", Value::from(report.notice_rounds as u64));
-        m.insert("repartitioned", Value::from(report.repartitioned));
-        m.insert("seconds", Value::from(secs));
-        archive(Value::Object(m));
-    }
-    emit(
-        "Incremental maintenance: per-batch CDC deltas",
-        &["batch", "ins", "del", "retracted", "deduced", "overdel", "notice_rds", "repart", "time"],
-        rows,
-    );
-
-    // The invariant the whole subsystem is built around: the resident
-    // closure equals a from-scratch run over the final dataset.
-    let mut resident = session.outcome();
-    let mut scratch = w.session.run_parallel(session.dataset(), &cfg).unwrap();
-    assert_eq!(
-        resident.matches.clusters(),
-        scratch.outcome.matches.clusters(),
-        "resident closure diverged from from-scratch DMatch"
-    );
-    println!(
-        "resident closure verified against from-scratch DMatch ({} clusters, {} updates, {} drift re-partitions).\n",
-        resident.matches.clusters().len(),
-        session.updates_applied(),
-        session.repartitions()
-    );
-}
-
-/// Resident serving smoke: boot a [`dcer_core::ResidentResolver`] over TPCH,
-/// race concurrent reader threads (lookups + explains against immutable
-/// snapshots, loaded from a ring of 8 `Mutex<Arc<_>>` slots) against a
-/// writer admitting CDC churn batches, and after every
-/// admit verify the published snapshot equals a from-scratch closure of the
-/// data seen so far. Reader tail latency is recorded into a
-/// [`dcer_obs::Histogram`] and its p99 asserted bounded — readers must not
-/// block behind an in-flight admit (DESIGN.md §16).
-fn serve_demo(scale: f64, workers: usize) {
-    use serde_json::{Map, Value};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-
-    const READERS: usize = 4;
-    const BATCHES: usize = 4;
-    /// Reader p99 bound, generous against CI noise: a lookup is a hash
-    /// probe behind an epoch load and must stay far under an admit
-    /// (which reruns partial fixpoints).
-    const P99_BOUND_NS: u64 = 100_000_000;
-
-    let w = tpch_workload(scale, 0.3);
-    let cfg = dcer_core::DmatchConfig::new(workers);
-    let t0 = Instant::now();
-    let resolver = Arc::new(w.session.resident(&w.data, &cfg).unwrap());
-    let boot_secs = t0.elapsed().as_secs_f64();
-    println!(
-        "== Resident serving: {READERS} readers vs 1 writer on TPCH (n = {workers}, {} live tuples, boot {boot_secs:.2}s) ==",
-        w.data.total_live()
-    );
-
-    // Readers: hammer cluster_of + explain on snapshots until stopped,
-    // recording per-read latency. They only ever touch the snapshot ring,
-    // whose slot mutexes guard a pointer clone — never the writer's
-    // channel.
-    let stop = Arc::new(AtomicBool::new(false));
-    let lat = Arc::new(Mutex::new(dcer_obs::Histogram::new()));
-    let probe: Vec<_> = w.data.relation(w.target_rel).tuples().iter().map(|t| t.tid).collect();
-    let readers: Vec<_> = (0..READERS)
-        .map(|r| {
-            let resolver = Arc::clone(&resolver);
-            let stop = Arc::clone(&stop);
-            let lat = Arc::clone(&lat);
-            let probe = probe.clone();
-            std::thread::spawn(move || {
-                let mut local = dcer_obs::Histogram::new();
-                let mut i = r; // stagger the probe sequence per reader
-                while !stop.load(Ordering::Relaxed) {
-                    let tid = probe[i % probe.len()];
-                    let t = Instant::now();
-                    let snap = resolver.snapshot();
-                    let members = snap.cluster_of(tid).map(|c| snap.members(c).len());
-                    if let Some(2..) = members {
-                        let c = snap.cluster_of(tid).unwrap();
-                        let peer = snap.members(c)[0];
-                        let _ = snap.explain(peer, tid);
-                    }
-                    local.record(t.elapsed().as_nanos() as u64);
-                    i += 1;
-                }
-                lat.lock().unwrap().merge(&local);
-            })
-        })
-        .collect();
-
-    // Writer: the same churn recipe as `update_demo` — delete strided
-    // victims (revisiting some), re-insert clones of existing rows — but
-    // through the serving `admit` path. After every admit the *published
-    // snapshot* is checked against a from-scratch sequential closure of
-    // the shadow dataset that applied the same batches.
-    let rel = w.target_rel;
-    let base = probe;
-    let churn = (base.len() / 100).max(1);
-    let mut shadow = w.data.clone();
-    let mut rows = Vec::new();
-    let donor_row = |b: usize, i: usize| (b * churn + i) * 13 % base.len();
-    for b in 0..BATCHES {
-        let mut batch = dcer_relation::UpdateBatch::new();
-        for i in 0..churn {
-            let victim = if b == 0 { (i * 7) % base.len() } else { donor_row(b - 1, i) };
-            batch.delete(base[victim]);
-            let donor = &w.data.relation(rel).tuples()[donor_row(b, i)];
-            batch.insert(rel, donor.values.to_vec());
-        }
-        shadow.apply_update(&batch).unwrap();
-        let t = Instant::now();
-        let report = resolver.admit(batch).unwrap();
-        let admit_secs = t.elapsed().as_secs_f64();
-
-        let snap = resolver.snapshot();
-        assert_eq!(snap.epoch(), report.epoch, "stale snapshot after admit");
-        let mut scratch = w.session.run_sequential(&shadow);
-        assert_eq!(
-            snap.clusters(),
-            scratch.matches.clusters().as_slice(),
-            "snapshot at epoch {} diverged from the from-scratch closure",
-            snap.epoch()
-        );
-        rows.push(vec![
-            Cell::from(b as i64),
-            Cell::from(report.epoch as i64),
-            Cell::from(report.inserted.len() as i64),
-            Cell::from(report.deleted.len() as i64),
-            Cell::from(report.retracted as i64),
-            Cell::from(report.deduced as i64),
-            Cell::Str(if report.repartitioned { "yes".into() } else { "no".into() }),
-            Cell::from(snap.clusters().len() as i64),
-            Cell::F2(admit_secs),
-        ]);
-    }
-
-    stop.store(true, Ordering::Relaxed);
-    for h in readers {
-        h.join().unwrap();
-    }
-    let lat = lat.lock().unwrap();
-    let (p50, p99) = (lat.quantile(0.50).unwrap(), lat.quantile(0.99).unwrap());
-    emit(
-        "Resident serving: admits vs concurrent snapshot readers",
-        &["batch", "epoch", "ins", "del", "retracted", "deduced", "repart", "clusters", "admit_s"],
-        rows,
-    );
-    println!(
-        "reader latency over {} reads: p50 {}ns, p99 {}ns (bound {}ns)",
-        lat.count(),
-        p50,
-        p99,
-        P99_BOUND_NS
-    );
-    assert!(
-        p99 <= P99_BOUND_NS,
-        "reader p99 {p99}ns exceeds {P99_BOUND_NS}ns — readers are blocking on the writer"
-    );
-
-    let mut m = Map::new();
-    m.insert("experiment", Value::from("serve"));
-    m.insert("dataset", Value::from("tpch"));
-    m.insert("workers", Value::from(workers));
-    m.insert("readers", Value::from(READERS));
-    m.insert("batches", Value::from(BATCHES));
-    m.insert("reads", Value::from(lat.count()));
-    m.insert("read_p50_ns", Value::from(p50));
-    m.insert("read_p99_ns", Value::from(p99));
-    m.insert("final_epoch", Value::from(resolver.snapshot().epoch()));
-    archive(Value::Object(m));
-    println!(
-        "all {BATCHES} snapshots verified against from-scratch closures; readers never waited on an admit.\n"
-    );
-}
-
 fn main() {
     let args = parse_args();
     let _ = std::fs::create_dir_all("results");
@@ -1070,10 +666,6 @@ fn main() {
         case_study(args.scale, args.workers);
         let _ = write!(ran, "case_study ");
     }
-    if run("stats") {
-        stats_dump(args.scale, args.workers);
-        let _ = write!(ran, "stats ");
-    }
     if run("trace") {
         trace_run(args.scale, args.workers);
         let _ = write!(ran, "trace ");
@@ -1084,33 +676,9 @@ fn main() {
         profile_run(args.scale, args.workers);
         let _ = write!(ran, "profile ");
     }
-    // Deliberately not part of `all`: fault injection is its own harness
-    // (CI runs it as the `chaos-smoke` job).
-    if args.command == "chaos" {
-        chaos(
-            args.scale,
-            args.workers,
-            args.fault_plan.as_deref(),
-            args.fault_seed,
-            args.fault_cells,
-        );
-        let _ = write!(ran, "chaos ");
-    }
-    // Also not part of `all`: the incremental-maintenance demo is a
-    // separate harness over the CDC update path (DESIGN.md §12).
-    if args.command == "update" {
-        update_demo(args.scale, args.workers);
-        let _ = write!(ran, "update ");
-    }
-    // Also not part of `all`: the serving smoke races real reader threads
-    // against the admit path (CI runs it as the `serve-smoke` job).
-    if args.command == "serve" {
-        serve_demo(args.scale, args.workers);
-        let _ = write!(ran, "serve ");
-    }
     if ran.is_empty() {
         eprintln!(
-            "unknown experiment `{}`; available: table5 table6 fig6a..fig6l partitioning case_study stats trace profile chaos update serve all",
+            "unknown experiment `{}`; available: table5 table6 fig6a..fig6l partitioning case_study trace profile all",
             args.command
         );
         std::process::exit(2);

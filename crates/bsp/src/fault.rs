@@ -167,7 +167,7 @@ impl FaultPlan {
         EdgeFault::Deliver
     }
 
-    /// Parse the textual grammar (used by `experiments --fault-plan`):
+    /// Parse the textual grammar:
     ///
     /// ```text
     /// plan      := directive (';' directive)*

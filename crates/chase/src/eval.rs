@@ -196,7 +196,7 @@ impl EvalScratch {
 }
 
 /// Hot-path counters, accumulated locally and published to [`dcer_obs`]
-/// once per enumeration (`eval.*` series) so `experiments stats` shows
+/// once per enumeration (`eval.*` series) so `experiments trace` shows
 /// where enumeration time goes.
 #[derive(Debug, Default, Clone, Copy)]
 struct EvalStats {

@@ -215,3 +215,49 @@ pub(crate) fn build_fleet(
         pool.run(shards.into_iter().map(|pair| move || unit(pair)).collect(), Some(&weights));
     built.into_iter().collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcer_relation::Tid;
+
+    /// Emits one fixed batch from every step; nothing else is exercised.
+    struct Fixed(DeltaBatch);
+
+    impl Deducer for Fixed {
+        fn deduce(&mut self) -> DeltaBatch {
+            self.0.clone()
+        }
+        fn incdeduce(&mut self, _: &DeltaBatch) -> DeltaBatch {
+            self.0.clone()
+        }
+        fn stats(&self) -> ChaseStats {
+            ChaseStats::default()
+        }
+        fn take_state(&mut self) -> ChaseState {
+            ChaseState::new()
+        }
+        fn snapshot(&mut self) -> Option<DeltaBatch> {
+            None
+        }
+        fn recover(&mut self, _: Option<&DeltaBatch>) -> DeltaBatch {
+            self.0.clone()
+        }
+    }
+
+    /// A broadcast hands every peer a handle to the same allocation: the
+    /// `shards - 1` batches share one fact slice, so routing copies no fact.
+    #[test]
+    fn broadcast_hands_every_peer_the_same_allocation() {
+        let facts = (0..64).map(|i| Fact::id(Tid::new(0, i), Tid::new(1, i))).collect();
+        let batch = DeltaBatch::new(facts);
+        let mut worker = ShardWorker::new(1, 4, Fixed(batch.clone()));
+        let routed = worker.initial();
+        let peers: Vec<WorkerId> = routed.iter().map(|(w, _)| *w).collect();
+        assert_eq!(peers, vec![0, 2, 3]);
+        for (_, b) in &routed {
+            assert_eq!(b.as_slice(), batch.as_slice());
+            assert_eq!(b.as_slice().as_ptr(), batch.as_slice().as_ptr(), "routing copied facts");
+        }
+    }
+}

@@ -29,7 +29,7 @@ Examples:
     scripts/bench_guard.py results/BENCH_chase_eval_quick.json \
         --require 'equi_join.speedup>=1.5' 'chain_join.speedup>=1.5'
     scripts/bench_guard.py BENCH_bsp_exchange.json \
-        --require 'exchange_speedup>=100' 'route_speedup>=100'
+        --require 'checkpoint_overhead<=1.05'
 """
 
 import argparse

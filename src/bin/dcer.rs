@@ -237,7 +237,7 @@ fn cmd_match(cli: &Cli) -> Result<(), String> {
     } else {
         let workers = parse_workers(cli.one("workers")?)?;
         eprintln!("running DMatch with {workers} workers over {} tuples", data.total_tuples());
-        let report = session.run_parallel(&data, &DmatchConfig::new(workers))?;
+        let report = session.run_parallel(&data, &DmatchConfig::new(workers).threaded())?;
         eprintln!(
             "  {} supersteps, {} routed matches, replication x{:.2}",
             report.bsp.supersteps, report.bsp.messages, report.partition.replication_factor
@@ -301,7 +301,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     let tenant_name = cli.opt("tenant").unwrap_or("default").to_string();
 
     let tenants = ServeRegistry::new();
-    tenants.register(&tenant_name, session, &data, &DmatchConfig::new(workers))?;
+    tenants.register(&tenant_name, session, &data, &DmatchConfig::new(workers).threaded())?;
     eprintln!(
         "serving tenant `{tenant_name}` ({} live tuples, {workers} workers); \
          NDJSON requests on stdin",

@@ -146,7 +146,8 @@ fn edge_and_stall_cells_converge() {
     }
 }
 
-/// Compound plans: a crash plus live edge faults in the same run.
+/// Compound plans: a crash plus live edge faults in the same run. The
+/// last plan holds every fault kind at once.
 #[test]
 fn compound_plans_converge() {
     let fx = fixture();
@@ -155,6 +156,7 @@ fn compound_plans_converge() {
         "crash 2@1; delay 0->2@1+2; dup 3->1@0",
         "crash 1@0; crash 3@1",
         "stall 0@1=200; dup 2->4@0",
+        "crash 2@1; drop 0->1@1; delay 1->3@1+2; dup 0->2@1; stall 3@1=80",
     ];
     for src in plans {
         let plan = FaultPlan::parse(src).unwrap();
@@ -163,7 +165,8 @@ fn compound_plans_converge() {
     }
 }
 
-/// Seeded random plans — the same generator the CI chaos-smoke job uses.
+/// Seeded random plans from `FaultPlan::random`: the seeded chaos matrix,
+/// run on the fixture rather than on a generated TPCH instance.
 #[test]
 fn seeded_random_plans_converge() {
     let fx = fixture();

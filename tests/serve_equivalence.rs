@@ -6,16 +6,18 @@
 //! batches its epoch says were admitted — snapshot isolation means readers
 //! never see a half-applied batch, and epochs only move forward per reader.
 //! Explain chains are checked against the snapshot's own exported
-//! provenance.
+//! provenance. A second case holds an admit inside its chase and requires a
+//! reader to finish a lookup on the old epoch before the admit may go on.
 
 use dcer::prelude::*;
 use dcer_chase::Fact;
-use dcer_ml::EqualTextClassifier;
+use dcer_ml::{EqualTextClassifier, MlModel};
 use dcer_relation::{Catalog, RelationSchema, ValueType};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn catalog() -> Arc<Catalog> {
     Arc::new(
@@ -33,8 +35,13 @@ fn catalog() -> Arc<Catalog> {
 /// Same rule zoo as `incremental_equivalence`: blocking, deep, collective,
 /// and a derived-then-consumed ML predicate.
 fn session() -> DcerSession {
+    session_with(Arc::new(EqualTextClassifier))
+}
+
+/// The rule zoo with `model` behind the ML predicate `m`.
+fn session_with(model: Arc<dyn MlModel>) -> DcerSession {
     let mut reg = MlRegistry::new();
-    reg.register("m", Arc::new(EqualTextClassifier));
+    reg.register("m", model);
     DcerSession::from_source(
         catalog(),
         "match md: P(t), P(s), t.k = s.k -> t.id = s.id;
@@ -321,4 +328,107 @@ proptest! {
         prop_assert_eq!(last.epoch() as usize, expected.len() - 1);
         prop_assert!(check_snapshot(&last, &expected).is_ok());
     }
+}
+
+/// How long the gated model waits for a reader before it gives up. Only a
+/// reader that blocks on the writer comes near it.
+const GATE_TIMEOUT: Duration = Duration::from_secs(10);
+
+#[derive(Default)]
+struct Gate {
+    /// An armed call is parked inside the chase.
+    entered: bool,
+    /// A reader let the parked call go on.
+    open: bool,
+    /// The parked call gave up after [`GATE_TIMEOUT`].
+    timed_out: bool,
+}
+
+/// [`EqualTextClassifier`] that, once armed, parks every call inside the
+/// chase until [`GatedModel::open`] (or [`GATE_TIMEOUT`]).
+#[derive(Default)]
+struct GatedModel {
+    armed: AtomicBool,
+    gate: Mutex<Gate>,
+    changed: Condvar,
+}
+
+impl GatedModel {
+    fn update(&self, f: impl FnOnce(&mut Gate)) {
+        f(&mut self.gate.lock().unwrap());
+        self.changed.notify_all();
+    }
+
+    /// Wait until an armed call is parked; `false` on timeout.
+    fn wait_entered(&self) -> bool {
+        let gate = self.gate.lock().unwrap();
+        let (gate, _) =
+            self.changed.wait_timeout_while(gate, GATE_TIMEOUT, |g| !g.entered).unwrap();
+        gate.entered
+    }
+
+    fn open(&self) {
+        self.update(|g| g.open = true);
+    }
+}
+
+impl MlModel for GatedModel {
+    fn probability(&self, left: &[Value], right: &[Value]) -> f64 {
+        if self.armed.load(Ordering::SeqCst) {
+            self.update(|g| g.entered = true);
+            let gate = self.gate.lock().unwrap();
+            let (mut gate, wait) =
+                self.changed.wait_timeout_while(gate, GATE_TIMEOUT, |g| !g.open).unwrap();
+            if wait.timed_out() {
+                gate.timed_out = true;
+                gate.open = true;
+            }
+        }
+        EqualTextClassifier.probability(left, right)
+    }
+}
+
+/// Readers keep reading while an admit is in flight: the admit's chase
+/// parks inside the ML model until a reader has loaded a snapshot and
+/// resolved a tuple in it. That snapshot must be the old epoch. A reader
+/// that waits on the writer never opens the gate, and the model's timeout
+/// fails the test instead of hanging it.
+#[test]
+fn readers_finish_a_lookup_while_an_admit_is_parked_in_its_chase() {
+    let model = Arc::new(GatedModel::default());
+    let s = session_with(model.clone());
+    let base = build(&[(0, 0, 0), (0, 1, 1), (1, 2, 2)], &[]);
+    let resolver = Arc::new(s.resident(&base, &DmatchConfig::new(2)).unwrap());
+    let clustered = Tid::new(0, 0);
+    assert!(resolver.snapshot().cluster_of(clustered).is_some(), "k0 rows share a cluster");
+
+    let reader = {
+        let (resolver, model) = (Arc::clone(&resolver), Arc::clone(&model));
+        std::thread::spawn(move || -> Result<(), String> {
+            if !model.wait_entered() {
+                return Err("the admit never reached the model".into());
+            }
+            let snap = resolver.snapshot();
+            let found = snap.cluster_of(clustered);
+            model.open();
+            match (snap.epoch(), found) {
+                (0, Some(_)) => Ok(()),
+                (epoch, found) => Err(format!("read epoch {epoch} ({found:?}) during the admit")),
+            }
+        })
+    };
+
+    // A fresh key makes every `m` pair with the new row a call the chase
+    // has not memoised, so the admit has to ask the model.
+    model.armed.store(true, Ordering::SeqCst);
+    let mut batch = UpdateBatch::new();
+    batch.insert(0, vec!["k4".into(), "x2".into(), "f3".into()]);
+    let report = resolver.admit(batch).unwrap();
+    model.armed.store(false, Ordering::SeqCst);
+
+    let read = reader.join().unwrap();
+    assert!(!model.gate.lock().unwrap().timed_out, "no reader finished a lookup during the admit");
+    read.unwrap();
+    assert_eq!(report.epoch, 1);
+    assert_eq!(resolver.snapshot().epoch(), 1);
 }
