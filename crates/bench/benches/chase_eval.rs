@@ -1,42 +1,56 @@
-//! Valuation-enumeration benchmark: the engine's one enumerator
+//! Chase-layer benchmark: the engine's one valuation enumerator
 //! (dictionary-encoded probes, static join order, reusable scratch, run at
 //! the default window width `ChaseConfig::default().batch_size`) on the
-//! join shapes that dominate the chase: string-keyed equi-join, three-atom
+//! join shapes that dominate the chase — string-keyed equi-join, three-atom
 //! chain join, seeded delta re-joins (`IncDeduce`), a constant-filtered
 //! join, and a similarity join (`sim_join`: plate-like strings compared by
-//! a Levenshtein classifier inside `model` blocks, as TFACC's `r_vehicle`).
+//! a Levenshtein classifier inside `model` blocks, as TFACC's `r_vehicle`)
+//! — and the full sequential `Match` over columnar predicate windows
+//! (`ml_window`).
 //!
 //! The headline numbers are the absolute `compiled_ns` per shape at 100k
-//! rows per relation (`sim_join`: 20k plates in blocks of 500). The
-//! original greedy enumerator runs beside it as a floor check (`speedup` =
-//! greedy / compiled, guarded in CI), not as a performance result.
-//! `sim_join` instead records how many pairs reach the classifier with the
-//! signature probe (`candidates`) and without it (`candidates_unsigned`,
-//! counted once, not timed); their ratio is a deterministic count, guarded
-//! in CI. After measuring, results are written to
-//! `BENCH_chase_eval.json` at the workspace root (or, with
-//! `CHASE_EVAL_QUICK` set, a reduced run to
+//! rows per relation (`sim_join`: 20k plates in blocks of 500). Before
+//! anything is timed, each shape's valuation count is asserted against the
+//! generator's closed form. `sim_join` also records how many pairs reach
+//! the classifier with the signature probe (`candidates`) and without it
+//! (`candidates_unsigned`, counted once, not timed); their ratio is a
+//! deterministic count, guarded in CI.
+//!
+//! `ml_window` is an equi-join `R(t), S(s), t.k = s.k` guarded by an n-gram
+//! cosine predicate `sim(t.x, s.w)`: every R key meets a window of S rows,
+//! so each window shares one long, expensive-to-profile left text across
+//! hundreds of pairs. The batch kernel profiles each distinct text once per
+//! window, where width 1 rebuilds both profiles for every pair. Each
+//! measured iteration runs `run_match` from scratch (fresh engine, fresh
+//! memo: a warm memo would absorb the classifier work) at widths 1, 64 and
+//! 1024; `batch_speedup` = width 1 / width 1024 (floor 2x, guarded in CI).
+//!
+//! After measuring, results are written to `BENCH_chase_eval.json` at the
+//! workspace root (or, with `CHASE_EVAL_QUICK` set, a reduced run to
 //! `results/BENCH_chase_eval_quick.json` for the CI smoke job).
 
 use criterion::{black_box, Criterion};
 use dcer_chase::{
-    enumerate_valuations_greedy, enumerate_with_program, ChaseConfig, CompiledRule, EvalScratch,
-    MlSigTable, RecPred, RuleProgram, ValuationSink,
+    enumerate_with_program, run_match, ChaseConfig, CompiledRule, EvalScratch, MlSigTable,
+    RuleProgram, ValuationSink,
 };
-use dcer_ml::{LevenshteinClassifier, MlModel};
-use dcer_mrl::TupleVar;
+use dcer_ml::{
+    EqualTextClassifier, LevenshteinClassifier, MlModel, MlRegistry, NgramCosineClassifier,
+};
+use dcer_mrl::{RuleSet, TupleVar};
 use dcer_relation::{Catalog, Dataset, IndexSet, RelationSchema, Tuple, ValueType};
+use serde_json::{Map, Value};
 use std::sync::Arc;
 
 /// Counting sink: no storage, so the measurement is the enumerator itself.
 struct CountOnly(u64);
 
 impl ValuationSink for CountOnly {
-    fn prune_rec(&mut self, _p: &RecPred, _l: &Tuple, _r: &Tuple) -> bool {
+    fn prune_rec(&mut self, _p: usize, _l: &Tuple, _r: &Tuple) -> bool {
         false
     }
-    fn visit(&mut self, rows: &[u32]) {
-        self.0 += rows.len() as u64;
+    fn visit(&mut self, _rows: &[u32]) {
+        self.0 += 1;
     }
 }
 
@@ -49,7 +63,7 @@ struct PlateSink {
 }
 
 impl ValuationSink for PlateSink {
-    fn prune_rec(&mut self, _p: &RecPred, l: &Tuple, r: &Tuple) -> bool {
+    fn prune_rec(&mut self, _p: usize, l: &Tuple, r: &Tuple) -> bool {
         self.candidates += 1;
         !self.model.predict(&l.values[1..], &r.values[1..])
     }
@@ -116,9 +130,11 @@ fn plate_workload(rows: usize, block: usize) -> (Dataset, CompiledRule, Compiled
     (dataset, plain, signed)
 }
 
-/// `rows` tuples per relation; every key appears twice in R and twice in S,
-/// so the equi-join output is linear in `rows` (each R row meets 2 S rows).
-/// R.v marks ~1% of rows "hot" for the constant-filter shape.
+/// `rows` (even) tuples per relation; every key appears twice in R and
+/// twice in S, so each R row meets 2 S rows: the equi-join has `2 * rows`
+/// valuations and the chain join `4 * rows` (8 per key). R.v marks every
+/// hundredth row "hot", so the constant-filtered join has
+/// `2 * ceil(rows / 100)`.
 fn workload(rows: usize) -> Workload {
     let cat = Arc::new(
         Catalog::from_schemas(vec![
@@ -162,78 +178,40 @@ fn main() {
         w.plans.iter().map(|p| RuleProgram::compile(p, d, &mut indexes)).collect();
     let mut scratch = EvalScratch::new();
 
-    let mut expected = Vec::new();
-    for (name, pi) in [("equi_join", 0), ("chain_join", 1), ("const_filter", 2)] {
-        let plan = &w.plans[pi];
-        let program = &programs[pi];
-        let mut sink = CountOnly(0);
-        let n =
-            enumerate_with_program(program, plan, d, &indexes, &[], &mut scratch, &mut sink, width);
-        let mut gsink = CountOnly(0);
-        let g = enumerate_valuations_greedy(plan, d, &mut indexes, &[], &mut gsink);
-        assert_eq!(n, g, "{name}: enumerators disagree");
-        expected.push(n);
-
-        c.bench_function(format!("{name}/compiled").as_str(), |b| {
-            b.iter(|| {
-                let mut sink = CountOnly(0);
-                black_box(enumerate_with_program(
-                    program,
-                    plan,
-                    d,
-                    &indexes,
-                    &[],
-                    &mut scratch,
-                    &mut sink,
-                    width,
-                ))
-            })
-        });
-        c.bench_function(format!("{name}/greedy").as_str(), |b| {
-            b.iter(|| {
-                let mut sink = CountOnly(0);
-                black_box(enumerate_valuations_greedy(plan, d, &mut indexes, &[], &mut sink))
-            })
-        });
-    }
-
-    // Seeded delta-join (`IncDeduce` shape): re-evaluate the equi-join rule
-    // for a block of seed rows, as update-driven re-joins do.
+    // Closed-form valuation counts (see `workload`), asserted before
+    // anything is timed.
+    assert_eq!(rows % 2, 0, "every key must appear twice per relation");
     let seed_count = (rows / 100).max(1) as u32;
-    let plan = &w.plans[0];
-    let program = &programs[0];
+    let shapes = [
+        ("equi_join", 0, 2 * rows),
+        ("chain_join", 1, 4 * rows),
+        ("const_filter", 2, 2 * rows.div_ceil(100)),
+    ];
+    let mut enumerate = |pi: usize, seeds: &[(TupleVar, u32)]| {
+        let mut sink = CountOnly(0);
+        enumerate_with_program(
+            &programs[pi],
+            &w.plans[pi],
+            d,
+            &indexes,
+            seeds,
+            &mut scratch,
+            &mut sink,
+            width,
+        );
+        sink.0
+    };
+    for (name, pi, want) in shapes {
+        assert_eq!(enumerate(pi, &[]), want as u64, "{name}: valuation count");
+    }
+    let seeded_valuations = seeded_delta(&mut enumerate, seed_count);
+    assert_eq!(seeded_valuations, 2 * seed_count as u64, "seeded_delta: valuation count");
+
+    for (name, pi, _) in shapes {
+        c.bench_function(format!("{name}/compiled").as_str(), |b| b.iter(|| enumerate(pi, &[])));
+    }
     c.bench_function("seeded_delta/compiled", |b| {
-        b.iter(|| {
-            let mut sink = CountOnly(0);
-            for row in 0..seed_count {
-                black_box(enumerate_with_program(
-                    program,
-                    plan,
-                    d,
-                    &indexes,
-                    &[(TupleVar(0), row)],
-                    &mut scratch,
-                    &mut sink,
-                    width,
-                ));
-            }
-            sink.0
-        })
-    });
-    c.bench_function("seeded_delta/greedy", |b| {
-        b.iter(|| {
-            let mut sink = CountOnly(0);
-            for row in 0..seed_count {
-                black_box(enumerate_valuations_greedy(
-                    plan,
-                    d,
-                    &mut indexes,
-                    &[(TupleVar(0), row)],
-                    &mut sink,
-                ));
-            }
-            sink.0
-        })
+        b.iter(|| seeded_delta(&mut enumerate, seed_count))
     });
 
     // Similarity join: the signed program's timed run, and one counted
@@ -269,83 +247,57 @@ fn main() {
             ))
         })
     });
-    let sim = SimJoin {
-        rows: plate_rows,
-        block,
-        valuations: signed_visits,
-        candidates: signed_cands,
-        candidates_unsigned: unsigned_cands,
-    };
-
+    let (rows_r, rows_s, ml_calls) = ml_window(&mut c, quick);
     c.report();
-    write_report(&c, rows, width, seed_count, &expected, &sim, quick);
-}
 
-/// The `sim_join` shape's counts.
-struct SimJoin {
-    rows: usize,
-    block: usize,
-    valuations: u64,
-    candidates: u64,
-    candidates_unsigned: u64,
-}
-
-/// Record the absolute `<shape>.compiled_ns` first, then the greedy floor
-/// check (`<shape>.speedup` = greedy / compiled).
-fn write_report(
-    c: &Criterion,
-    rows: usize,
-    width: usize,
-    seeds: u32,
-    valuations: &[u64],
-    sim: &SimJoin,
-    quick: bool,
-) {
-    use serde_json::{Map, Value};
-
+    // Absolute times first, then each case's counts and ratios.
     let mean = |id: &str| {
-        c.results()
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| r.mean_ns)
-            .unwrap_or_else(|| panic!("missing bench result {id}"))
+        let found = c.results().iter().find(|r| r.id == id);
+        found.map(|r| r.mean_ns).unwrap_or_else(|| panic!("missing bench result {id}"))
     };
-
     let mut root = Map::new();
     root.insert("bench", Value::from("chase_eval"));
     root.insert("rows_per_relation", Value::from(rows));
     root.insert("batch_size", Value::from(width));
     root.insert("quick", Value::from(quick));
-    for (i, shape) in ["equi_join", "chain_join", "const_filter"].iter().enumerate() {
-        let compiled = mean(&format!("{shape}/compiled"));
-        let greedy = mean(&format!("{shape}/greedy"));
-        let mut m = Map::new();
-        m.insert("compiled_ns", Value::from(compiled));
-        m.insert("greedy_ns", Value::from(greedy));
-        m.insert("speedup", Value::from(greedy / compiled));
-        m.insert("valuations", Value::from(valuations[i]));
-        root.insert(shape.to_string(), Value::Object(m));
+    for (name, _, n) in shapes {
+        let compiled = mean(&format!("{name}/compiled"));
+        root.insert(name, object([("compiled_ns", compiled.into()), ("valuations", n.into())]));
     }
-    let compiled = mean("seeded_delta/compiled");
-    let greedy = mean("seeded_delta/greedy");
-    let mut m = Map::new();
-    m.insert("compiled_ns", Value::from(compiled));
-    m.insert("greedy_ns", Value::from(greedy));
-    m.insert("speedup", Value::from(greedy / compiled));
-    m.insert("seeds", Value::from(seeds as i64));
-    root.insert("seeded_delta", Value::Object(m));
-    let mut m = Map::new();
-    m.insert("compiled_ns", Value::from(mean("sim_join/compiled")));
-    m.insert("rows", Value::from(sim.rows));
-    m.insert("block", Value::from(sim.block));
-    m.insert("valuations", Value::from(sim.valuations));
-    m.insert("candidates", Value::from(sim.candidates));
-    m.insert("candidates_unsigned", Value::from(sim.candidates_unsigned));
-    m.insert(
-        "candidate_ratio",
-        Value::from(sim.candidates_unsigned as f64 / sim.candidates as f64),
+    root.insert(
+        "seeded_delta",
+        object([
+            ("compiled_ns", mean("seeded_delta/compiled").into()),
+            ("seeds", (seed_count as u64).into()),
+            ("valuations", seeded_valuations.into()),
+        ]),
     );
-    root.insert("sim_join", Value::Object(m));
+    root.insert(
+        "sim_join",
+        object([
+            ("compiled_ns", mean("sim_join/compiled").into()),
+            ("rows", plate_rows.into()),
+            ("block", block.into()),
+            ("valuations", signed_visits.into()),
+            ("candidates", signed_cands.into()),
+            ("candidates_unsigned", unsigned_cands.into()),
+            ("candidate_ratio", (unsigned_cands as f64 / signed_cands as f64).into()),
+        ]),
+    );
+    let times = ["width1", "batch64", "batch1024"].map(|w| mean(&format!("ml_window/{w}")));
+    root.insert(
+        "ml_window",
+        object([
+            ("width1_ns", times[0].into()),
+            ("batch64_ns", times[1].into()),
+            ("batch1024_ns", times[2].into()),
+            ("rows_r", rows_r.into()),
+            ("rows_s", rows_s.into()),
+            ("ml_calls", ml_calls.into()),
+            ("batch64_speedup", (times[0] / times[1]).into()),
+            ("batch_speedup", (times[0] / times[2]).into()),
+        ]),
+    );
 
     let path = if quick {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
@@ -357,4 +309,79 @@ fn write_report(
     let body = serde_json::to_string_pretty(&Value::Object(root)).expect("render json");
     std::fs::write(&path, body + "\n").expect("write chase_eval report");
     eprintln!("wrote {path}");
+}
+
+/// A JSON object with `fields` in order.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// Seeded delta-join (`IncDeduce` shape): re-evaluate the equi-join rule
+/// (plan 0) once per seed row `0..seeds`, as update-driven re-joins do.
+/// Returns the valuations visited.
+fn seeded_delta(enumerate: &mut impl FnMut(usize, &[(TupleVar, u32)]) -> u64, seeds: u32) -> u64 {
+    (0..seeds).map(|row| enumerate(0, &[(TupleVar(0), row)])).sum()
+}
+
+/// `rows_s` S tuples spread over `rows_r` R keys: each R row's long text
+/// meets a window of `rows_s / rows_r` short S texts under the equi-join.
+fn window_workload(rows_r: usize, rows_s: usize) -> (Dataset, RuleSet, MlRegistry) {
+    let cat = Arc::new(
+        Catalog::from_schemas(vec![
+            RelationSchema::of("R", &[("k", ValueType::Str), ("x", ValueType::Str)]),
+            RelationSchema::of("S", &[("k", ValueType::Str), ("w", ValueType::Str)]),
+        ])
+        .unwrap(),
+    );
+    let mut d = Dataset::new(cat);
+    for i in 0..rows_r {
+        // ~200-char distinct text: profiling it dominates the pair cost.
+        let long: String =
+            (0..20).map(|j| format!("token{:03}x{:02}", (i * 7 + j) % 997, j)).collect();
+        d.insert(0, vec![format!("key{i}").into(), long.into()]).unwrap();
+    }
+    for i in 0..rows_s {
+        d.insert(
+            1,
+            vec![format!("key{}", i % rows_r).into(), format!("w{:07}", i * 31 % 9_999_991).into()],
+        )
+        .unwrap();
+    }
+    let rules = dcer_mrl::parse_rules(
+        d.catalog(),
+        "match sim: R(t), S(s), t.k = s.k, sim(t.x, s.w) -> dummy(t.k, s.k)",
+    )
+    .unwrap();
+    let mut reg = MlRegistry::new();
+    reg.register("sim", Arc::new(NgramCosineClassifier::new(0.8)));
+    reg.register("dummy", Arc::new(EqualTextClassifier));
+    (d, rules, reg)
+}
+
+/// Time the full sequential `Match` on the window workload at widths 1, 64
+/// and 1024, after checking that every width computes the same closure and
+/// the same oracle counters (the equivalence suites pin this harder).
+/// Returns the R and S sizes and the classifier calls of one run.
+fn ml_window(c: &mut Criterion, quick: bool) -> (usize, usize, u64) {
+    let (rows_r, rows_s) = if quick { (100, 5_000) } else { (400, 100_000) };
+    let (d, rules, reg) = window_workload(rows_r, rows_s);
+    let config = |batch_size| ChaseConfig { batch_size, ..Default::default() };
+    let mut want = run_match(&d, &rules, &reg, &config(1)).unwrap();
+    for batch in [64, 1024] {
+        let mut got = run_match(&d, &rules, &reg, &config(batch)).unwrap();
+        assert_eq!(got.matches.clusters(), want.matches.clusters(), "batch {batch}: clusters");
+        assert_eq!(got.stats, want.stats, "batch {batch}: stats");
+    }
+    let ml_calls = want.stats.ml_calls;
+    assert!(ml_calls as usize >= rows_s, "workload must be classifier-bound");
+
+    let mut group = c.benchmark_group("ml_window");
+    group.sample_size(if quick { 5 } else { 10 });
+    for (name, batch) in [("width1", 1), ("batch64", 64), ("batch1024", 1024)] {
+        let cfg = config(batch);
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(run_match(&d, &rules, &reg, &cfg).unwrap().stats.ml_calls))
+        });
+    }
+    (rows_r, rows_s, ml_calls)
 }

@@ -836,24 +836,11 @@ impl EngineSink<'_> {
         &self.dataset.relation(self.plan.atoms[v.0 as usize]).tuples()[rows[v.0 as usize] as usize]
     }
 
-    /// Index of `pred` within this plan's `rec_preds`. The enumerator only
-    /// ever hands out references into that very slice, so pointer offset
-    /// recovers the index without a search; out-of-slice references (a
-    /// foreign sink's pred) fall out of bounds and are reported as `None`.
-    fn pred_index(&self, pred: &RecPred) -> Option<usize> {
-        let base = self.plan.rec_preds.as_ptr() as usize;
-        let off = (pred as *const RecPred as usize).checked_sub(base)?;
-        let idx = off / std::mem::size_of::<RecPred>();
-        (off % std::mem::size_of::<RecPred>() == 0 && idx < self.plan.rec_preds.len())
-            .then_some(idx)
-    }
-
-    /// Record `checked` probes and `pruned` eliminations against `pred`.
-    fn count_rec(&mut self, pred: &RecPred, checked: u64, pruned: u64) {
-        if let Some(i) = self.pred_index(pred) {
-            self.rec_stats[i].0 += checked;
-            self.rec_stats[i].1 += pruned;
-        }
+    /// Record `checked` probes and `pruned` eliminations against recursive
+    /// predicate `pred`.
+    fn count_rec(&mut self, pred: usize, checked: u64, pruned: u64) {
+        self.rec_stats[pred].0 += checked;
+        self.rec_stats[pred].1 += pruned;
     }
 
     /// [`EngineSink::visit`] with optionally precomputed id-predicate
@@ -948,9 +935,11 @@ impl ValuationSink for EngineSink<'_> {
         scope.get(&tid).is_none_or(|m| m & self.rule_mask != 0)
     }
 
-    fn prune_rec(&mut self, pred: &RecPred, left: &Tuple, right: &Tuple) -> bool {
+    fn prune_rec(&mut self, pred: usize, left: &Tuple, right: &Tuple) -> bool {
         // Only an unwaitable false ML predicate is final — prune there.
-        let prune = if let RecPred::Ml { sig, symmetric, waitable: false, .. } = *pred {
+        let prune = if let RecPred::Ml { sig, symmetric, waitable: false, .. } =
+            self.plan.rec_preds[pred]
+        {
             !self.state.holds_ml(sig, left.tid, right.tid, symmetric)
                 && !self.oracle.predict(self.sigs, sig, left, right, self.ml_scope)
         } else {
@@ -962,17 +951,17 @@ impl ValuationSink for EngineSink<'_> {
 
     fn prune_rec_batch(
         &mut self,
-        pred: &RecPred,
+        pred: usize,
         left: &[Tuple],
         right: &[Tuple],
         pairs: &[(u32, u32)],
         out: &mut Vec<bool>,
     ) {
-        let RecPred::Ml { sig, symmetric, waitable: false, .. } = *pred else {
+        out.clear();
+        out.resize(pairs.len(), false);
+        let RecPred::Ml { sig, symmetric, waitable: false, .. } = self.plan.rec_preds[pred] else {
             // Id and waitable ML predicates never prune at bind time — and
             // are not probed here, mirroring `prune_rec`'s early-out.
-            out.clear();
-            out.resize(pairs.len(), false);
             self.count_rec(pred, pairs.len() as u64, 0);
             return;
         };
@@ -981,8 +970,6 @@ impl ValuationSink for EngineSink<'_> {
         // signatures that never happens — only head signatures get
         // validated — but probe-multiset fidelity is the contract, so keep
         // the guard).
-        out.clear();
-        out.resize(pairs.len(), false);
         let mut probe_idx: Vec<usize> = Vec::with_capacity(pairs.len());
         let mut probes: Vec<(&Tuple, &Tuple)> = Vec::with_capacity(pairs.len());
         for (i, &(l, r)) in pairs.iter().enumerate() {

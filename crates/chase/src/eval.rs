@@ -49,7 +49,7 @@
 //! whatever is bound at runtime, so a seed can enable a cheaper access
 //! path than the static order assumed.
 
-use crate::plan::{CompiledRule, RecPred};
+use crate::plan::CompiledRule;
 use crate::program::RuleProgram;
 use dcer_mrl::TupleVar;
 use dcer_relation::{Dataset, IndexSet, Tuple, Value, ValueDict};
@@ -66,10 +66,10 @@ pub trait ValuationSink {
         true
     }
 
-    /// Both variables of a recursive predicate just became bound. Return
-    /// `true` to prune this branch (only sound for predicates whose falsity
-    /// is final).
-    fn prune_rec(&mut self, pred: &RecPred, left: &Tuple, right: &Tuple) -> bool;
+    /// Both variables of recursive predicate `pred` (an index into the
+    /// plan's `rec_preds`) just became bound. Return `true` to prune this
+    /// branch (only sound for predicates whose falsity is final).
+    fn prune_rec(&mut self, pred: usize, left: &Tuple, right: &Tuple) -> bool;
 
     /// Batched [`ValuationSink::prune_rec`]: one recursive predicate
     /// against a whole candidate window. `pairs` holds row positions into
@@ -80,7 +80,7 @@ pub trait ValuationSink {
     /// verdicts the per-pair loop would.
     fn prune_rec_batch(
         &mut self,
-        pred: &RecPred,
+        pred: usize,
         left: &[Tuple],
         right: &[Tuple],
         pairs: &[(u32, u32)],
@@ -365,8 +365,7 @@ pub fn enumerate_with_program(
             if cands.is_empty() {
                 break;
             }
-            let p = &plan.rec_preds[pi as usize];
-            let (l, r) = p.vars();
+            let (l, r) = plan.rec_preds[pi as usize].vars();
             let (lv, rv) = (l.0 as usize, r.0 as usize);
             let var = step.var as usize;
             // An endpoint that is not this step's variable must already be
@@ -380,7 +379,7 @@ pub fn enumerate_with_program(
             }));
             let left = dataset.relation(plan.atoms[lv]).tuples();
             let right = dataset.relation(plan.atoms[rv]).tuples();
-            sink.prune_rec_batch(p, left, right, pairs, verdicts);
+            sink.prune_rec_batch(pi as usize, left, right, pairs, verdicts);
             let mut keep = 0;
             for i in 0..cands.len() {
                 if !verdicts[i] {
@@ -456,13 +455,13 @@ fn bind_seeds(
             }
         }
     }
-    for p in &plan.rec_preds {
+    for (pi, p) in plan.rec_preds.iter().enumerate() {
         let (l, r) = p.vars();
         let (lr, rr) = (scratch.rows[l.0 as usize], scratch.rows[r.0 as usize]);
         if lr != UNBOUND && rr != UNBOUND {
             let lt = &dataset.relation(plan.atoms[l.0 as usize]).tuples()[lr as usize];
             let rt = &dataset.relation(plan.atoms[r.0 as usize]).tuples()[rr as usize];
-            if sink.prune_rec(p, lt, rt) {
+            if sink.prune_rec(pi, lt, rt) {
                 return false;
             }
         }
@@ -626,13 +625,15 @@ mod tests {
     use dcer_relation::{Catalog, RelationSchema, Value, ValueType};
     use std::sync::Arc;
 
+    /// Records every visit; `prune` prunes on every recursive predicate
+    /// (the only ones these rules have are ML predicates).
     struct Collect {
         all: Vec<Vec<u32>>,
-        prune_ml: bool,
+        prune: bool,
     }
     impl ValuationSink for Collect {
-        fn prune_rec(&mut self, pred: &RecPred, _l: &Tuple, _r: &Tuple) -> bool {
-            self.prune_ml && matches!(pred, RecPred::Ml { .. })
+        fn prune_rec(&mut self, _pred: usize, _l: &Tuple, _r: &Tuple) -> bool {
+            self.prune
         }
         fn visit(&mut self, rows: &[u32]) {
             self.all.push(rows.to_vec());
@@ -683,7 +684,7 @@ mod tests {
     fn equi_join_enumerates_exact_matches() {
         let (plan, d) = compile("match j: R(t), S(s), t.k = s.k -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         // (R0,S0), (R1,S0), (R2,S1) — nulls never join.
         assert_eq!(n, 3);
@@ -696,7 +697,7 @@ mod tests {
     fn self_join_includes_reflexive_and_both_orders() {
         let (plan, d) = compile("match j: R(t), R(s), t.k = s.k -> t.id = s.id");
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         // k=a: rows {0,1} -> 4 pairs; k=b: row {2} -> 1 pair.
         assert_eq!(n, 5);
@@ -706,7 +707,7 @@ mod tests {
     fn constant_filter_prunes_scan() {
         let (plan, d) = compile(r#"match j: R(t), S(s), t.k = s.k, t.v = "r2" -> dummy(t.k, s.k)"#);
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         assert_eq!(n, 1);
         assert_eq!(sink.all, vec![vec![2, 1]]);
@@ -716,7 +717,7 @@ mod tests {
     fn unmatchable_constant_short_circuits() {
         let (plan, d) = compile(r#"match j: R(t), S(s), t.k = s.k, t.v = "zz" -> dummy(t.k, s.k)"#);
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         assert_eq!(enumerate(&plan, &d, &mut idx, &[], &mut sink), 0);
         // Seeds can't resurrect a dead program either.
         assert_eq!(enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 0)], &mut sink), 0);
@@ -726,7 +727,7 @@ mod tests {
     fn disconnected_atoms_cross_product() {
         let (plan, d) = compile("match j: R(t), S(s) -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         assert_eq!(n, 9); // 3 x 3
     }
@@ -735,10 +736,10 @@ mod tests {
     fn ml_pruning_cuts_branches() {
         let (plan, d) = compile("match j: R(t), S(s), m(t.k, s.k) -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: true };
+        let mut sink = Collect { all: vec![], prune: true };
         let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         assert_eq!(n, 0);
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         assert_eq!(n, 9);
     }
@@ -747,7 +748,7 @@ mod tests {
     fn seeds_restrict_enumeration() {
         let (plan, d) = compile("match j: R(t), S(s), t.k = s.k -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 1)], &mut sink);
         assert_eq!(n, 1);
         assert_eq!(sink.all, vec![vec![1, 0]]);
@@ -757,7 +758,7 @@ mod tests {
     fn fully_seeded_valuation_is_validated() {
         let (plan, d) = compile("match j: R(t), S(s), t.k = s.k -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 0), (TupleVar(1), 0)], &mut sink);
         assert_eq!(n, 1);
         assert_eq!(sink.all, vec![vec![0, 0]]);
@@ -767,7 +768,7 @@ mod tests {
     fn inconsistent_seeds_yield_nothing() {
         let (plan, d) = compile("match j: R(t), S(s), t.k = s.k -> dummy(t.k, s.k)");
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         // R row 0 has k=a, S row 1 has k=b: contradiction.
         let n = enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 0), (TupleVar(1), 1)], &mut sink);
         assert_eq!(n, 0);
@@ -780,7 +781,7 @@ mod tests {
     fn seed_violating_constant_filter_yields_nothing() {
         let (plan, d) = compile(r#"match j: R(t), S(s), t.k = s.k, t.v = "r0" -> dummy(t.k, s.k)"#);
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate(&plan, &d, &mut idx, &[(TupleVar(0), 1)], &mut sink);
         assert_eq!(n, 0);
     }
@@ -789,7 +790,7 @@ mod tests {
     fn three_way_chain_join() {
         let (plan, d) = compile("match j: R(t), S(s), R(u), t.k = s.k, s.k = u.k -> t.id = u.id");
         let mut idx = IndexSet::new();
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate(&plan, &d, &mut idx, &[], &mut sink);
         // k=a: R{0,1} x S{0} x R{0,1} = 4; k=b: R{2} x S{1} x R{2} = 1.
         assert_eq!(n, 5);
@@ -815,8 +816,8 @@ mod tests {
             let mut idx = IndexSet::new();
             let program = RuleProgram::compile(&plan, &d, &mut idx);
             let mut scratch = EvalScratch::new();
-            let mut run = |seeds, prune_ml, width| {
-                let mut sink = Collect { all: vec![], prune_ml };
+            let mut run = |seeds, prune, width| {
+                let mut sink = Collect { all: vec![], prune };
                 let n = enumerate_with_program(
                     &program,
                     &plan,
@@ -829,12 +830,12 @@ mod tests {
                 );
                 (n, sink.all)
             };
-            for prune_ml in [false, true] {
+            for prune in [false, true] {
                 for seeds in seed_sets {
-                    let want = run(seeds, prune_ml, 1);
+                    let want = run(seeds, prune, 1);
                     for width in [2usize, 7, 64, 4096] {
                         assert_eq!(
-                            run(seeds, prune_ml, width),
+                            run(seeds, prune, width),
                             want,
                             "{src} width={width} seeds={seeds:?}"
                         );
@@ -851,12 +852,12 @@ mod tests {
         let program = RuleProgram::compile(&plan, &d, &mut idx);
         let mut scratch = EvalScratch::new();
         for _ in 0..3 {
-            let mut sink = Collect { all: vec![], prune_ml: false };
+            let mut sink = Collect { all: vec![], prune: false };
             let n =
                 enumerate_with_program(&program, &plan, &d, &idx, &[], &mut scratch, &mut sink, 64);
             assert_eq!(n, 3);
         }
-        let mut sink = Collect { all: vec![], prune_ml: false };
+        let mut sink = Collect { all: vec![], prune: false };
         let n = enumerate_with_program(
             &program,
             &plan,

@@ -19,9 +19,9 @@
 //! Both `Deduce` and the seeded re-joins of `IncDeduce` run one valuation
 //! enumerator, [`enumerate_with_program`], which checks recursive
 //! predicates over candidate windows of [`ChaseConfig::batch_size`] rows;
-//! the window width never changes the result. The greedy enumerator
-//! ([`enumerate_valuations_greedy`]) is kept as the test oracle and the
-//! `chase_eval` bench baseline.
+//! the window width never changes the result. Its reference is
+//! [`enumerate_brute`], the cross-product loop under [`naive_chase`]: the
+//! `eval_equivalence` tests hold both to the same valuation set.
 //!
 //! The engine doubles as the per-worker algorithm of the parallel `DMatch`:
 //! `A` is [`ChaseEngine::update_fixpoint`] (on a new engine, one full
@@ -37,7 +37,6 @@ pub mod deps;
 pub mod engine;
 pub mod eval;
 pub mod facts;
-pub mod greedy;
 pub mod naive;
 pub mod plan;
 pub mod program;
@@ -49,8 +48,7 @@ pub use deps::Pending;
 pub use engine::{run_match, ChaseConfig, ChaseEngine, ChaseOutcome, ChaseStats, UpdateDelta};
 pub use eval::{enumerate_with_program, EvalScratch, ValuationSink};
 pub use facts::{ChaseState, Fact, MlOracle, MlSigTable};
-pub use greedy::enumerate_valuations_greedy;
-pub use naive::naive_chase;
+pub use naive::{enumerate_brute, naive_chase};
 pub use plan::{CompiledHead, CompiledRule, RecPred};
 pub use program::RuleProgram;
 pub use support::{Provenance, SupportLog};

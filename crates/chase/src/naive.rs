@@ -1,19 +1,105 @@
-//! The textbook chase: re-enumerate every valuation of every rule each
-//! round until no new fact is deduced. Exponentially slower than
-//! [`crate::ChaseEngine`] but obviously correct — the oracle against which
-//! the optimized and parallel engines are verified (Church–Rosser means all
-//! of them must converge to the same `Γ`).
+//! The reference enumerator and the textbook chase built on it.
+//!
+//! [`enumerate_brute`] binds every live row to every unseeded variable and
+//! checks the whole precondition on each complete binding: exponential in
+//! rule arity, but with no access path, join order or candidate window to
+//! get wrong. It is the oracle the compiled enumerator
+//! ([`crate::enumerate_with_program`]) is checked against. [`naive_chase`]
+//! re-runs it over every rule each round until no new fact is deduced — the
+//! oracle against which the optimized and parallel engines are verified
+//! (Church–Rosser means all of them must converge to the same `Γ`).
 
+use crate::eval::ValuationSink;
 use crate::facts::{ChaseState, Fact, MlOracle, MlSigTable};
 use crate::plan::{CompiledHead, CompiledRule, RecPred};
 use dcer_ml::MlRegistry;
-use dcer_mrl::RuleSet;
-use dcer_relation::{Dataset, Tid};
+use dcer_mrl::{RuleSet, TupleVar};
+use dcer_relation::{Dataset, Tuple};
+
+/// Sentinel for "variable not bound" in the binding array.
+const UNBOUND: u32 = u32::MAX;
+
+/// Enumerate every valuation of `plan` over `dataset` by brute force, with
+/// `seeds` pre-bound; returns the number of valuations visited.
+///
+/// The contract is [`crate::enumerate_with_program`]'s, so both visit the
+/// same valuation set (in a different order):
+///
+/// - every live row of each unseeded variable goes through
+///   [`ValuationSink::admit_row`];
+/// - seeds bypass `admit_row`, and an out-of-range or tombstoned seed
+///   yields nothing;
+/// - constant filters and equality edges compare with
+///   [`dcer_relation::Value::sql_eq`], so nulls never join;
+/// - [`ValuationSink::prune_rec`] is asked for every recursive predicate.
+pub fn enumerate_brute(
+    plan: &CompiledRule,
+    dataset: &Dataset,
+    seeds: &[(TupleVar, u32)],
+    sink: &mut dyn ValuationSink,
+) -> u64 {
+    let mut rows = vec![UNBOUND; plan.num_vars()];
+    for &(v, row) in seeds {
+        let relation = dataset.relation(plan.atoms[v.0 as usize]);
+        if row as usize >= relation.len() || !relation.is_live(row) {
+            return 0;
+        }
+        rows[v.0 as usize] = row;
+    }
+    let mut count = 0;
+    descend(plan, dataset, sink, &mut rows, 0, &mut count);
+    count
+}
+
+fn descend(
+    plan: &CompiledRule,
+    dataset: &Dataset,
+    sink: &mut dyn ValuationSink,
+    rows: &mut [u32],
+    depth: usize,
+    count: &mut u64,
+) {
+    if depth == rows.len() {
+        // The whole precondition under the complete binding.
+        let tuple = |v: usize| &dataset.relation(plan.atoms[v]).tuples()[rows[v] as usize];
+        let holds = plan
+            .const_filters
+            .iter()
+            .enumerate()
+            .all(|(v, filters)| filters.iter().all(|(a, c)| tuple(v).get(*a).sql_eq(c)))
+            && plan.eq_edges.iter().all(|e| {
+                tuple(e.left.0 .0 as usize)
+                    .get(e.left.1)
+                    .sql_eq(tuple(e.right.0 .0 as usize).get(e.right.1))
+            })
+            && plan.rec_preds.iter().enumerate().all(|(pi, p)| {
+                let (l, r) = p.vars();
+                !sink.prune_rec(pi, tuple(l.0 as usize), tuple(r.0 as usize))
+            });
+        if holds {
+            sink.visit(rows);
+            *count += 1;
+        }
+        return;
+    }
+    if rows[depth] != UNBOUND {
+        return descend(plan, dataset, sink, rows, depth + 1, count); // seeded
+    }
+    let relation = dataset.relation(plan.atoms[depth]);
+    for row in 0..relation.len() as u32 {
+        if relation.is_live(row) && sink.admit_row(TupleVar(depth as u16), row) {
+            rows[depth] = row;
+            descend(plan, dataset, sink, rows, depth + 1, count);
+        }
+    }
+    rows[depth] = UNBOUND;
+}
 
 /// Run the chase naively to fixpoint; returns the final state.
 ///
-/// Intended for correctness tests at small scale: each round enumerates the
-/// full cross product of every rule's atoms.
+/// Intended for correctness tests at small scale: each round runs
+/// [`enumerate_brute`] over every rule, i.e. the full cross product of its
+/// atoms.
 pub fn naive_chase(
     dataset: &Dataset,
     rules: &RuleSet,
@@ -27,8 +113,16 @@ pub fn naive_chase(
     loop {
         let mut changed = false;
         for plan in &plans {
-            let mut rows = vec![0u32; plan.num_vars()];
-            brute(dataset, plan, &sigs, &mut oracle, &mut state, &mut rows, 0, &mut changed);
+            let mut sink = ChaseSink {
+                plan,
+                dataset,
+                sigs: &sigs,
+                oracle: &mut oracle,
+                state: &mut state,
+                changed: false,
+            };
+            enumerate_brute(plan, dataset, &[], &mut sink);
+            changed |= sink.changed;
         }
         if !changed {
             return Ok(state);
@@ -36,95 +130,48 @@ pub fn naive_chase(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn brute(
-    dataset: &Dataset,
-    plan: &CompiledRule,
-    sigs: &MlSigTable,
-    oracle: &mut MlOracle,
-    state: &mut ChaseState,
-    rows: &mut Vec<u32>,
-    depth: usize,
-    changed: &mut bool,
-) {
-    if depth == plan.num_vars() {
-        if holds(dataset, plan, sigs, oracle, state, rows) {
-            let tid = |v: dcer_mrl::TupleVar| -> Tid {
-                dataset.relation(plan.atoms[v.0 as usize]).tuples()[rows[v.0 as usize] as usize].tid
-            };
-            let fact = match plan.head {
-                CompiledHead::Id(l, r) => {
-                    let (a, b) = (tid(l), tid(r));
-                    if a == b {
-                        return;
-                    }
-                    Fact::id(a, b)
-                }
-                CompiledHead::Ml { sig, left, right, symmetric } => {
-                    let (a, b) = (tid(left), tid(right));
-                    if a == b {
-                        return; // self-prediction carries no information
-                    }
-                    Fact::ml(sig, a, b, symmetric)
-                }
-            };
-            if state.apply(fact).is_some() {
-                *changed = true;
-            }
-        }
-        return;
-    }
-    let relation = dataset.relation(plan.atoms[depth]);
-    for r in 0..relation.len() as u32 {
-        if !relation.is_live(r) {
-            continue;
-        }
-        rows[depth] = r;
-        brute(dataset, plan, sigs, oracle, state, rows, depth + 1, changed);
-    }
+/// Applies the head of every valuation whose recursive predicates hold in
+/// the current state (an ML predicate also holds when the classifier
+/// accepts the pair).
+struct ChaseSink<'a> {
+    plan: &'a CompiledRule,
+    dataset: &'a Dataset,
+    sigs: &'a MlSigTable,
+    oracle: &'a mut MlOracle,
+    state: &'a mut ChaseState,
+    changed: bool,
 }
 
-fn holds(
-    dataset: &Dataset,
-    plan: &CompiledRule,
-    sigs: &MlSigTable,
-    oracle: &mut MlOracle,
-    state: &mut ChaseState,
-    rows: &[u32],
-) -> bool {
-    let tuple = |v: dcer_mrl::TupleVar| {
-        &dataset.relation(plan.atoms[v.0 as usize]).tuples()[rows[v.0 as usize] as usize]
-    };
-    for (i, filters) in plan.const_filters.iter().enumerate() {
-        let t = &dataset.relation(plan.atoms[i]).tuples()[rows[i] as usize];
-        if !filters.iter().all(|(a, c)| t.get(*a).sql_eq(c)) {
-            return false;
-        }
-    }
-    for e in &plan.eq_edges {
-        if !tuple(e.left.0).get(e.left.1).sql_eq(tuple(e.right.0).get(e.right.1)) {
-            return false;
-        }
-    }
-    for p in &plan.rec_preds {
-        match *p {
-            RecPred::Id { left, right } => {
-                let (a, b) = (tuple(left).tid, tuple(right).tid);
-                if !state.holds_id(a, b) {
-                    return false;
-                }
-            }
-            RecPred::Ml { sig, left, right, symmetric, .. } => {
-                let (lt, rt) = (tuple(left).clone(), tuple(right).clone());
-                if !state.holds_ml(sig, lt.tid, rt.tid, symmetric)
-                    && !oracle.predict(sigs, sig, &lt, &rt, 0)
-                {
-                    return false;
-                }
+impl ValuationSink for ChaseSink<'_> {
+    /// [`enumerate_brute`] asks on complete bindings only, so pruning is
+    /// filtering: a valuation whose predicate does not hold yet is skipped
+    /// this round.
+    fn prune_rec(&mut self, pred: usize, l: &Tuple, r: &Tuple) -> bool {
+        !match self.plan.rec_preds[pred] {
+            RecPred::Id { .. } => self.state.holds_id(l.tid, r.tid),
+            RecPred::Ml { sig, symmetric, .. } => {
+                self.state.holds_ml(sig, l.tid, r.tid, symmetric)
+                    || self.oracle.predict(self.sigs, sig, l, r, 0)
             }
         }
     }
-    true
+
+    fn visit(&mut self, rows: &[u32]) {
+        let tid = |v: TupleVar| {
+            let i = v.0 as usize;
+            self.dataset.relation(self.plan.atoms[i]).tuples()[rows[i] as usize].tid
+        };
+        let fact = match self.plan.head {
+            CompiledHead::Id(l, r) if tid(l) != tid(r) => Fact::id(tid(l), tid(r)),
+            CompiledHead::Ml { sig, left, right, symmetric } if tid(left) != tid(right) => {
+                Fact::ml(sig, tid(left), tid(right), symmetric)
+            }
+            // Reflexive: already in Γ, or a self-prediction carrying no
+            // information.
+            _ => return,
+        };
+        self.changed |= self.state.apply(fact).is_some();
+    }
 }
 
 #[cfg(test)]

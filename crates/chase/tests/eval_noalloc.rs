@@ -11,8 +11,7 @@
 //! `crates/obs/tests/noop_alloc.rs`).
 
 use dcer_chase::{
-    enumerate_with_program, CompiledRule, EvalScratch, MlSigTable, RecPred, RuleProgram,
-    ValuationSink,
+    enumerate_with_program, CompiledRule, EvalScratch, MlSigTable, RuleProgram, ValuationSink,
 };
 use dcer_ml::{LevenshteinClassifier, MlModel};
 use dcer_mrl::TupleVar;
@@ -52,7 +51,7 @@ struct CountOnly {
 }
 
 impl ValuationSink for CountOnly {
-    fn prune_rec(&mut self, _pred: &RecPred, _l: &Tuple, _r: &Tuple) -> bool {
+    fn prune_rec(&mut self, _pred: usize, _l: &Tuple, _r: &Tuple) -> bool {
         false
     }
     fn visit(&mut self, rows: &[u32]) {

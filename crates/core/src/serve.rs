@@ -16,14 +16,14 @@
 //!   lookups on immutable data behind an `Arc` — so a reader observes one
 //!   consistent epoch end to end and never waits for an in-flight admit.
 //!
-//! Epoch swap is a [`SnapshotCell`]: an atomic epoch counter sequencing a
-//! small ring of slots, each holding an `Arc<Snapshot>`. A reader loads the
-//! epoch and clones the `Arc` out of the matching slot; the writer installs
-//! into the *next* slot before bumping the counter. The slot mutex guards a
-//! pointer clone/store only — never the chase — so the longest a reader can
-//! stall is another thread's pointer copy, regardless of how large the
-//! admit being processed is (std has no lock-free `Arc` swap; a ring of
-//! slots sequenced by the epoch gets the same effect without `unsafe`).
+//! Epoch swap is a [`SnapshotCell`]: one `Mutex<Arc<Snapshot>>`. A reader
+//! clones the `Arc` under the lock; the writer swaps in the next epoch's
+//! `Arc` under the lock and drops the superseded one after releasing it.
+//! The mutex guards a pointer clone or swap only — never the chase, never
+//! a snapshot's deallocation — so the longest a reader can stall is another
+//! thread's pointer copy, regardless of how large the admit being processed
+//! is (std has no lock-free `Arc` swap). A superseded snapshot lives only
+//! as long as some reader still holds it.
 //!
 //! `explain(a, b)` answers "why were these merged" from provenance exported
 //! at publish time: the fire-ordered support logs of every worker (first
@@ -42,7 +42,6 @@ use crate::update::UpdateSession;
 use dcer_chase::{Fact, Provenance};
 use dcer_relation::{Tid, UpdateBatch};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -293,44 +292,32 @@ fn build_snapshot(session: &mut UpdateSession, epoch: u64) -> Snapshot {
     }
 }
 
-/// Number of slots in a [`SnapshotCell`] ring. A reader that loaded the
-/// epoch can fall this many publishes behind before its slot is reused —
-/// and even then it only observes a *newer* snapshot, never a torn one.
-const SNAPSHOT_SLOTS: usize = 8;
-
-/// Epoch-sequenced published-snapshot cell (see module docs). Readers call
+/// The published-snapshot cell (see module docs). Readers call
 /// [`SnapshotCell::load`]; only the writer thread publishes.
 pub struct SnapshotCell {
-    epoch: AtomicU64,
-    slots: Vec<Mutex<Arc<Snapshot>>>,
+    current: Mutex<Arc<Snapshot>>,
 }
 
 impl SnapshotCell {
     fn new(initial: Arc<Snapshot>) -> SnapshotCell {
-        SnapshotCell {
-            epoch: AtomicU64::new(initial.epoch),
-            slots: (0..SNAPSHOT_SLOTS).map(|_| Mutex::new(Arc::clone(&initial))).collect(),
-        }
+        SnapshotCell { current: Mutex::new(initial) }
     }
 
     /// The latest published snapshot. Lock scope is one `Arc` clone: the
-    /// slot's content is immutable, only the pointer is guarded.
+    /// snapshot is immutable, only the pointer is guarded.
     pub fn load(&self) -> Arc<Snapshot> {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let snap = self.slots[(epoch as usize) % SNAPSHOT_SLOTS].lock().unwrap().clone();
-        // The release store below sequences slot writes before epoch
-        // bumps, so the slot holds `epoch` or a later publish that lapped
-        // the ring — never anything older.
-        debug_assert!(snap.epoch >= epoch);
-        snap
+        self.current.lock().unwrap().clone()
     }
 
     /// Writer-only: install `snap` as the next epoch and make it visible.
     fn publish(&self, snap: Arc<Snapshot>) {
-        let next = snap.epoch;
-        debug_assert!(next > self.epoch.load(Ordering::Relaxed));
-        *self.slots[(next as usize) % SNAPSHOT_SLOTS].lock().unwrap() = snap;
-        self.epoch.store(next, Ordering::Release);
+        let mut current = self.current.lock().unwrap();
+        debug_assert!(snap.epoch > current.epoch);
+        let old = std::mem::replace(&mut *current, snap);
+        drop(current);
+        // Outside the lock: when no reader still holds the superseded
+        // snapshot, freeing it here stalls no reader.
+        drop(old);
     }
 }
 
@@ -668,6 +655,26 @@ mod tests {
         assert_eq!(report2.epoch, 2);
         assert!(resolver.snapshot().cluster_of(Tid::new(0, 0)).is_none());
         assert_eq!(resolver.snapshot().updates_applied(), 2);
+    }
+
+    /// The cell keeps only the latest snapshot: a superseded epoch lives
+    /// exactly as long as some reader holds it.
+    #[test]
+    fn a_superseded_snapshot_is_freed_once_no_reader_holds_it() {
+        let s = session();
+        let resolver =
+            s.resident(&dataset(&[("a", "1"), ("b", "2")]), &DmatchConfig::new(2)).unwrap();
+        let epoch0 = resolver.snapshot();
+        assert_eq!(epoch0.epoch(), 0);
+        let weak = Arc::downgrade(&epoch0);
+
+        let mut batch = UpdateBatch::new();
+        batch.insert(0, vec!["a".into(), "2".into()]);
+        assert_eq!(resolver.admit(batch).unwrap().epoch, 1);
+        assert!(weak.upgrade().is_some(), "a reader still holds epoch 0");
+        drop(epoch0);
+        assert!(weak.upgrade().is_none(), "epoch 0 outlived its last reader");
+        assert_eq!(resolver.snapshot().epoch(), 1);
     }
 
     #[test]

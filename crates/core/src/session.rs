@@ -141,8 +141,8 @@ impl DcerSession {
     /// that drains admitted CDC batches — the serving extension of
     /// [`DcerSession::update_session`]. Readers query the returned
     /// [`crate::serve::ResidentResolver`] concurrently; each read clones
-    /// the current snapshot's `Arc` out of a ring of 8 `Mutex<Arc<_>>`
-    /// slots, so it never waits for an in-flight admit.
+    /// the current snapshot's `Arc` out of one `Mutex<Arc<_>>`, so it never
+    /// waits for an in-flight admit.
     pub fn resident(
         &self,
         dataset: &Dataset,

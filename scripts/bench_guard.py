@@ -5,8 +5,8 @@ Asserts numeric values inside a bench-report JSON (as written by the
 criterion benches' ``write_report``) in two ways:
 
 * ``--require PATH>=VALUE`` (or ``<=``): absolute floor/ceiling on a
-  dotted-path value, e.g. ``equi_join.speedup>=1.5``. Use these for
-  machine-independent claims (speedup ratios) in CI.
+  dotted-path value, e.g. ``ml_window.batch_speedup>=2.0``. Use these for
+  machine-independent claims (ratios and counts) in CI.
 * ``--baseline FILE --compare PATH --tolerance FRAC``: the result's value
   at PATH must be within ``FRAC`` relative deviation of the committed
   baseline's value, e.g. ``--tolerance 0.75`` allows ±75%. Use these to
@@ -27,7 +27,7 @@ Exits non-zero with a per-assertion report on any violation.
 
 Examples:
     scripts/bench_guard.py results/BENCH_chase_eval_quick.json \
-        --require 'equi_join.speedup>=1.5' 'chain_join.speedup>=1.5'
+        --require 'ml_window.batch_speedup>=2.0' 'sim_join.candidate_ratio>=10'
     scripts/bench_guard.py BENCH_bsp_exchange.json \
         --require 'checkpoint_overhead<=1.05'
 """

@@ -28,39 +28,46 @@ fn catalog() -> Arc<Catalog> {
     )
 }
 
-/// Deep + collective rules: recursive `t.id = s.id` heads force matches
-/// deduced on one shard to unlock rules on others, so faults at any
-/// superstep threaten real cross-worker state.
+/// Deep + collective rules over two links that HyPart hashes to different
+/// shards: `md` matches P tuples sharing `k`, and `val`/`use` those sharing
+/// `x` through a validated ML prediction. `deep` matches the Q partners of
+/// matched P tuples, and `coll` the P tuples whose Q partners share `y`. A
+/// P pair linked only through a k-match on one shard and an x-match on
+/// another closes on no shard before superstep 1, so `deep` fires there:
+/// faults at superstep 0 and at superstep 1 both threaten real cross-worker
+/// state.
 fn session() -> DcerSession {
     let mut reg = MlRegistry::new();
     reg.register("m", Arc::new(EqualTextClassifier));
     DcerSession::from_source(
         catalog(),
         "match md: P(t), P(s), t.k = s.k -> t.id = s.id;
-         match deep: P(t), P(s), P(u), t.id = s.id, s.x = u.x -> t.id = u.id;
-         match coll: P(t), P(s), Q(a), Q(b), t.fk = a.fk, s.fk = b.fk, a.y = b.y -> t.id = s.id;
          match val: P(t), P(s), t.x = s.x -> m(t.k, s.k);
-         match use: P(t), P(s), m(t.k, s.k) -> t.id = s.id",
+         match use: P(t), P(s), t.x = s.x, m(t.k, s.k) -> t.id = s.id;
+         match deep: P(t), P(s), Q(a), Q(b), t.id = s.id, t.fk = a.fk, s.fk = b.fk -> a.id = b.id;
+         match coll: P(t), P(s), Q(a), Q(b), t.fk = a.fk, s.fk = b.fk, a.y = b.y -> t.id = s.id",
         reg,
     )
     .unwrap()
 }
 
+/// `n` P tuples with 10 `k` and 8 `x` values and a foreign key of their
+/// own; the first `n / 2` have a Q partner, with 10 `y` values.
 fn dataset(n: usize) -> Dataset {
     let mut d = Dataset::new(catalog());
     for i in 0..n {
         d.insert(
             0,
             vec![
-                format!("k{}", i % 7).into(),
-                format!("x{}", i % 5).into(),
-                format!("f{}", i % 6).into(),
+                format!("k{}", i % 10).into(),
+                format!("x{}", i % 8).into(),
+                format!("f{i}").into(),
             ],
         )
         .unwrap();
     }
     for i in 0..n / 2 {
-        d.insert(1, vec![format!("f{}", i % 6).into(), format!("y{}", i % 3).into()]).unwrap();
+        d.insert(1, vec![format!("f{i}").into(), format!("y{}", i % 10).into()]).unwrap();
     }
     d
 }
@@ -79,7 +86,7 @@ fn fixture() -> Fixture {
     let expected = baseline.outcome.matches.clusters();
     assert!(!expected.is_empty(), "fixture must produce matches");
     let supersteps = baseline.bsp.supersteps as u64;
-    assert!(supersteps >= 2, "fixture must recurse across supersteps, got {supersteps}");
+    assert!(supersteps >= 3, "fixture must send at superstep 1, got {supersteps}");
     Fixture { session, data, expected, supersteps }
 }
 
@@ -141,8 +148,18 @@ fn edge_and_stall_cells_converge() {
     ];
     for src in plans {
         let plan = FaultPlan::parse(src).unwrap();
-        check(&fx, plan.clone(), false);
-        check(&fx, plan, true);
+        for threaded in [false, true] {
+            let rec = check(&fx, plan.clone(), threaded).bsp.recovery;
+            // The plan's own fault must fire: an edge the fault-free run
+            // sends nothing on at that superstep would test nothing.
+            let fired = match src.split(' ').next().unwrap() {
+                "drop" => rec.dropped_batches,
+                "delay" => rec.delayed_batches,
+                "dup" => rec.duplicated_batches,
+                _ => rec.stalls,
+            };
+            assert!(fired >= 1, "plan `{src}` (threaded={threaded}) injected no fault: {rec:?}");
+        }
     }
 }
 
